@@ -33,6 +33,24 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _eliminate(rows: list[list[Fraction]], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place over their first
+    ``cols`` columns; returns the pivot columns, one per leading row."""
+    pivot_cols: list[int] = []
+    for c in range(cols):
+        rank = len(pivot_cols)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] / rows[rank][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivot_cols.append(c)
+    return pivot_cols
+
+
 @dataclass(frozen=True)
 class Block:
     """One block of colours; arities must be multiplicatively independent."""
@@ -62,21 +80,10 @@ class Block:
         return self._cache["prime_data"]
 
     def _independent(self) -> bool:
-        primes, matrix = self._prime_data()
+        _, matrix = self._prime_data()
         cols = len(self.arities)
         rows = [[Fraction(x) for x in row] for row in matrix]
-        rank = 0
-        for c in range(cols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-            if piv is None:
-                return False
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][c]:
-                    f = rows[r][c] / rows[rank][c]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rank == cols
+        return len(_eliminate(rows, cols)) == cols
 
     def exponents(self, ratio: Fraction | int) -> tuple[int, ...] | None:
         """Write ``ratio`` (a ``Fraction`` or an ``int``) as a product of
@@ -104,23 +111,11 @@ class Block:
         b = [Fraction(target.get(p, 0)) for p in primes]
         rows = [[Fraction(x) for x in row] + [bv] for row, bv in zip(matrix, b)]
         cols = len(self.arities)
-        rank = 0
-        pivot_cols: list[int] = []
-        for c in range(cols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for r in range(len(rows)):
-                if r != rank and rows[r][c]:
-                    f = rows[r][c] / rows[rank][c]
-                    rows[r] = [a - f * bb for a, bb in zip(rows[r], rows[rank])]
-            pivot_cols.append(c)
-            rank += 1
+        pivot_cols = _eliminate(rows, cols)
         sol = [Fraction(0)] * cols
         for k, c in enumerate(pivot_cols):
             sol[c] = rows[k][-1] / rows[k][c]
-        for r in range(rank, len(rows)):
+        for r in range(len(pivot_cols), len(rows)):
             if rows[r][-1]:
                 return None
         if any(s.denominator != 1 for s in sol):

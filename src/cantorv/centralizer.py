@@ -17,6 +17,7 @@ from .cones import Cone, ConeTuple
 from .elements import (
     Element,
     FiniteSubgroup,
+    _from_mapping,
     apply_to_basis,
     compose,
     equals,
@@ -24,7 +25,18 @@ from .elements import (
     permutation_element,
     represent_on,
 )
-from .terms import Basis, Leaf, TermError, lower_closure, lub, root_leaf, split_leaf, transport
+from .terms import (
+    Basis,
+    Leaf,
+    TermError,
+    expand,
+    find_ancestor,
+    lower_closure,
+    lub,
+    root_leaf,
+    split_leaf,
+    transport,
+)
 
 
 class IterationCapExceededError(RuntimeError):
@@ -402,9 +414,7 @@ class KernelElement:
 
 def expand_kernel(k: KernelElement, leaf: Leaf, color: int) -> KernelElement:
     """Diagonal refinement: children inherit the parent's label."""
-    from .terms import expand as expand_basis
-
-    basis = expand_basis(k.basis, leaf, color)
+    basis = expand(k.basis, leaf, color)
     labels = dict(k.labels)
     lab = labels.pop(leaf)
     for child in split_leaf(k.qspec, leaf, color):
@@ -415,8 +425,6 @@ def expand_kernel(k: KernelElement, leaf: Leaf, color: int) -> KernelElement:
 def kernel_equals(a: KernelElement, b: KernelElement) -> bool:
     """Equality in the glued system: same labels over a common refinement."""
     common = lub(a.basis, b.basis)
-    from .terms import find_ancestor
-
     for cell in common.cells:
         la = a.labels[find_ancestor(a.basis, cell)]
         lb = b.labels[find_ancestor(b.basis, cell)]
@@ -428,8 +436,6 @@ def kernel_equals(a: KernelElement, b: KernelElement) -> bool:
 def kernel_action(v: Element, k: KernelElement) -> KernelElement:
     """The quotient group acts by carrying labels along the diagram."""
     mid = lub(v.domain, k.basis)
-    from .terms import find_ancestor
-
     expanded_labels = {cell: k.labels[find_ancestor(k.basis, cell)] for cell in mid.cells}
     image = apply_to_basis(v, mid)
     labels = {v.image_of_leaf(cell): lab for cell, lab in expanded_labels.items()}
@@ -480,10 +486,7 @@ def build_kernel_element(
                 src = transport(qroot, target, a)
                 dst = transport(qroot, letter_cells[lab[pos_k]], a)
                 mapping[src] = dst
-    dom = Basis.from_cells_trusted(spec, mapping.keys())
-    rng = Basis.from_cells_trusted(spec, mapping.values())
-    perm = [rng.index_of(mapping[c]) for c in dom.cells]
-    return Element(spec, dom, rng, perm)
+    return _from_mapping(spec, mapping)
 
 
 def encode_kernel_element(k: KernelElement, letters) -> ConeTuple:
@@ -520,10 +523,7 @@ def splitting_lift(
             src = transport(src_root, copies[dcell.root][letter], dcell)
             dst = transport(dst_root, copies[rcell.root][letter], rcell)
             mapping[src] = dst
-    dom = Basis.from_cells_trusted(spec, mapping.keys())
-    rng = Basis.from_cells_trusted(spec, mapping.values())
-    perm = [rng.index_of(mapping[c]) for c in dom.cells]
-    return Element(spec, dom, rng, perm)
+    return _from_mapping(spec, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +584,6 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
         weyl_order=weyl,
         coset_reps=tuple(reps),
     )
-
-
-def permutation_stabilizer_elements(y: Basis):
-    """All elements fixing the basis setwise, i.e. its leaf permutations."""
-    n = len(y)
-    return [
-        permutation_element(y, perm) for perm in itertools.permutations(range(n))
-    ]
 
 
 def decompose_fixing_element(report: InvariantBasisReport, x: Element):

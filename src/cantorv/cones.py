@@ -9,6 +9,7 @@ The group acts on cones by mapping supports through element diagrams.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .algebra import AlgebraSpec
@@ -16,11 +17,13 @@ from .terms import (
     Basis,
     Leaf,
     ZERO,
+    _on_grid,
     ONE,
     boxes_intersect,
     canonical_order,
     cells_admissible,
     check_leaf,
+    expand,
     leaf_contains,
     leaf_to_text,
     lub,
@@ -30,7 +33,7 @@ from .terms import (
     sibling_families,
     split_leaf,
 )
-from .elements import Element
+from .elements import Element, _from_mapping
 
 
 class ConeError(ValueError):
@@ -57,67 +60,88 @@ def _contract_support(spec: AlgebraSpec, cells: set[Leaf]) -> tuple[Leaf, ...]:
     return tuple(canonical_order(cells))
 
 
-def _box_intersection_volume(a: Leaf, b: Leaf) -> Fraction:
+def _box_intersection(a: Leaf, b: Leaf) -> tuple | None:
+    """The common box of two leaves as ``(lo, hi, n)`` triples, or None."""
     if a.root != b.root:
-        return ZERO
-    num = den = 1
+        return None
+    box = []
     for (p, q, n), (r, s, m) in zip(a.grid, b.grid):
         # [p/n, q/n) meets [r/m, s/m) in [lo, hi) / (n * m)
         lo = max(p * m, r * n)
         hi = min(q * m, s * n)
         if lo >= hi:
-            return ZERO
+            return None
+        box.append((lo, hi, n * m))
+    return tuple(box)
+
+
+def _box_intersection_volume(a: Leaf, b: Leaf) -> Fraction:
+    box = _box_intersection(a, b)
+    if box is None:
+        return ZERO
+    num = den = 1
+    for lo, hi, n in box:
         num *= hi - lo
-        den *= n * m
+        den *= n
     return Fraction(num, den)
 
 
-def _monoid_refinement_exponents(spec: AlgebraSpec, block_index: int, denom: int) -> tuple[int, ...]:
-    """Smallest per-colour exponent vector whose arity product is divisible
-    by ``denom``; breadth-first over exponent vectors."""
-    from math import gcd
-
-    blk = spec.blocks[block_index]
-    arities = blk.arities
-    frontier = [(0,) * len(arities)]
-    seen = {frontier[0]}
+def _refinement_size(spec: AlgebraSpec, block_index: int, denom: int) -> int:
+    """The arity product of the first per-colour exponent vector, breadth
+    first, whose product is divisible by ``denom``."""
+    arities = spec.blocks[block_index].arities
+    start = (0,) * len(arities)
+    frontier = [(start, 1)]
+    seen = {start}
     while frontier:
         nxt = []
-        for e in frontier:
-            n = 1
-            for a, k in zip(arities, e):
-                n *= a**k
+        for e, n in frontier:
             if n % denom == 0:
-                return e
-            for i in range(len(arities)):
+                return n
+            for i, a in enumerate(arities):
                 e2 = e[:i] + (e[i] + 1,) + e[i + 1 :]
                 if e2 not in seen:
                     seen.add(e2)
-                    nxt.append(e2)
+                    nxt.append((e2, n * a))
         frontier = nxt
     raise ConeError(f"denominator {denom} unreachable in block {block_index}")
 
 
 def _box_to_cells(spec: AlgebraSpec, root: int, box) -> list[Leaf]:
-    """Decompose an axis-aligned box with grid-rational corners into leaves."""
-    per_block: list[list[tuple[Fraction, Fraction]]] = []
-    for bi, (lo, hi) in enumerate(box):
-        denom = 1
-        for x in (lo, hi):
-            d = x.denominator
-            g = denom
-            from math import gcd
+    """Decompose a box of ``(lo, hi, n)`` triples, one per block, into
+    leaves on the grid ``_refinement_size`` picks for the denominators of
+    each block's interval ends in lowest terms."""
+    per_block: list[list[tuple[int, int, int]]] = []
+    for bi, (lo, hi, n) in enumerate(box):
+        denom = math.lcm(n // math.gcd(lo, n), n // math.gcd(hi, n))
+        size = _refinement_size(spec, bi, denom)
+        per_block.append([(k, k + 1, size) for k in range(lo * size // n, hi * size // n)])
+    return [_on_grid(root, grid) for grid in itertools.product(*per_block)]
 
-            denom = denom * d // gcd(denom, d)
-        exps = _monoid_refinement_exponents(spec, bi, denom)
-        n = 1
-        for a, k in zip(spec.blocks[bi].arities, exps):
-            n *= a**k
-        w = Fraction(1, n)
-        count = (hi - lo) / w
-        assert count.denominator == 1
-        per_block.append([(lo + k * w, lo + (k + 1) * w) for k in range(int(count))])
-    return [Leaf(root, ivs) for ivs in itertools.product(*per_block)]
+
+def _sweep(spec: AlgebraSpec, root: int, groups):
+    """Cut the root cuboid at every interval end of the cells in ``groups``
+    (leaf collections; cells of other roots are ignored) and yield each grid
+    box, as ``(lo, hi, n)`` triples, with the mask of the groups whose cells
+    cover it.  A box lies inside or outside each cell, never across one."""
+    cells = [(1 << i, c) for i, group in enumerate(groups) for c in group if c.root == root]
+    dens = [math.lcm(1, *(c.grid[bi][2] for _, c in cells)) for bi in range(spec.num_blocks)]
+    scaled = [
+        (bit, tuple((a * (d // n), e * (d // n)) for (a, e, n), d in zip(c.grid, dens)))
+        for bit, c in cells
+    ]
+    breaks = [
+        sorted({0, d, *(x for _, iv in scaled for x in iv[bi])}) for bi, d in enumerate(dens)
+    ]
+    for corner in itertools.product(*(range(len(b) - 1) for b in breaks)):
+        ends = [(breaks[bi][k], breaks[bi][k + 1]) for bi, k in enumerate(corner)]
+        mask = 0
+        for bit, iv in scaled:
+            if not mask & bit and all(
+                lo <= p and q <= hi for (lo, hi), (p, q) in zip(iv, ends)
+            ):
+                mask |= bit
+        yield mask, tuple((p, q, d) for (p, q), d in zip(ends, dens))
 
 
 class Cone:
@@ -145,12 +169,13 @@ class Cone:
         )
         if not disjoint:
             # overlapping input: normalise through the union's point set
-            flat: list[Leaf] = []
-            for r in range(spec.roots):
-                group = [c for c in cells if c.root == r]
-                if group:
-                    flat.extend(_union_boxes_to_cells(spec, r, group))
-            cells = flat
+            cells = [
+                cell
+                for r in range(spec.roots)
+                for mask, box in _sweep(spec, r, [cells])
+                if mask
+                for cell in _box_to_cells(spec, r, box)
+            ]
         return Cone(spec, _contract_support(spec, set(cells)))
 
     def is_empty(self) -> bool:
@@ -161,27 +186,6 @@ class Cone:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cone({len(self.cells)} cells)"
-
-
-def _union_boxes_to_cells(spec: AlgebraSpec, root: int, group) -> list[Leaf]:
-    """Exact cell decomposition of a union of possibly overlapping cuboids."""
-    breaks = []
-    for bi in range(spec.num_blocks):
-        pts = {ZERO, ONE}
-        for c in group:
-            lo, hi = c.intervals[bi]
-            pts.add(lo)
-            pts.add(hi)
-        breaks.append(sorted(pts))
-    out: list[Leaf] = []
-    for corner in itertools.product(*(range(len(b) - 1) for b in breaks)):
-        box = tuple(
-            (breaks[bi][k], breaks[bi][k + 1]) for bi, k in enumerate(corner)
-        )
-        probe = Leaf(root, box)
-        if any(leaf_contains(c, probe) for c in group):
-            out.extend(_box_to_cells(spec, root, box))
-    return out
 
 
 def cone_equals(u: Cone, v: Cone) -> bool:
@@ -211,24 +215,12 @@ def cone_disjoint(u: Cone, v: Cone) -> bool:
 def cone_intersection(u: Cone, v: Cone) -> Cone:
     """Point-set intersection; plumbing beyond the disjoint-or-not test."""
     _same_spec(u, v)
-    boxes: list[tuple[int, tuple]] = []
+    cells: list[Leaf] = []
     for a in u.cells:
         for b in v.cells:
-            if a.root != b.root:
-                continue
-            ivs = []
-            empty = False
-            for (alo, ahi), (blo, bhi) in zip(a.intervals, b.intervals):
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo >= hi:
-                    empty = True
-                    break
-                ivs.append((lo, hi))
-            if not empty:
-                boxes.append((a.root, tuple(ivs)))
-    cells: list[Leaf] = []
-    for root, box in boxes:
-        cells.extend(_box_to_cells(u.spec, root, box))
+            box = _box_intersection(a, b)
+            if box is not None:
+                cells.extend(_box_to_cells(u.spec, a.root, box))
     return Cone.from_leaves(u.spec, cells)
 
 
@@ -288,7 +280,9 @@ def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
         group = [c for c in cover_cells if c.root == r]
         missing = ONE - sum((c.volume() for c in group), ZERO)
         if missing:
-            candidate.extend(_complement_cells(spec, r, group))
+            for mask, box in _sweep(spec, r, [group]):
+                if not mask:
+                    candidate.extend(_box_to_cells(spec, r, box))
     if cells_admissible(spec, candidate):
         basis = Basis.from_cells_trusted(spec, candidate)
     else:
@@ -300,24 +294,6 @@ def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
                 assignment[i].append(cell)
                 break
     return basis, assignment
-
-
-def _complement_cells(spec: AlgebraSpec, root: int, group) -> list[Leaf]:
-    breaks = []
-    for bi in range(spec.num_blocks):
-        pts = {ZERO, ONE}
-        for c in group:
-            lo, hi = c.intervals[bi]
-            pts.add(lo)
-            pts.add(hi)
-        breaks.append(sorted(pts))
-    out: list[Leaf] = []
-    for corner in itertools.product(*(range(len(b) - 1) for b in breaks)):
-        box = tuple((breaks[bi][k], breaks[bi][k + 1]) for bi, k in enumerate(corner))
-        probe = Leaf(root, box)
-        if not any(leaf_contains(c, probe) for c in group):
-            out.extend(_box_to_cells(spec, root, box))
-    return out
 
 
 def _grid_basis(spec: AlgebraSpec, cells) -> Basis:
@@ -376,18 +352,12 @@ class ConeTuple:
         self.covering = self._covering()
 
     def _covering(self) -> bool:
-        total = Fraction(self.spec.roots)
         if self.disjoint:
-            return sum((c.volume() for c in self.cones), ZERO) == total
-        covered = ZERO
-        cells = [c for cone in self.cones for c in cone.cells]
-        for r in range(self.spec.roots):
-            group = [c for c in cells if c.root == r]
-            covered += sum(
-                (c.volume() for c in _union_boxes_to_cells(self.spec, r, group)),
-                ZERO,
-            ) if group else ZERO
-        return covered == total
+            return sum((c.volume() for c in self.cones), ZERO) == self.spec.roots
+        groups = [cone.cells for cone in self.cones]
+        return all(
+            mask for r in range(self.spec.roots) for mask, _ in _sweep(self.spec, r, groups)
+        )
 
     def __len__(self) -> int:
         return len(self.cones)
@@ -445,13 +415,11 @@ def tuple_witness(t1: ConeTuple, t2: ConeTuple) -> Element | None:
     }
 
     def pad(basis: Basis, parts: list[list[Leaf]], i: int, combo: list[int]) -> Basis:
-        from .terms import expand as expand_basis
-
         for count, step in zip(combo, steps):
             color = step_colors[step]
             for _ in range(count):
                 cell = canonical_order(parts[i])[0]
-                basis = expand_basis(basis, cell, color)
+                basis = expand(basis, cell, color)
                 parts[i].remove(cell)
                 parts[i].extend(split_leaf(spec, cell, color))
         return basis
@@ -471,12 +439,8 @@ def tuple_witness(t1: ConeTuple, t2: ConeTuple) -> Element | None:
         basis2 = pad(basis2, parts2, i, cb)
     mapping: dict[Leaf, Leaf] = {}
     for cells1, cells2 in zip(parts1, parts2):
-        for c1, c2 in zip(canonical_order(cells1), canonical_order(cells2)):
-            mapping[c1] = c2
-    dom = Basis.from_cells_trusted(spec, mapping.keys())
-    rng = Basis.from_cells_trusted(spec, mapping.values())
-    perm = [rng.index_of(mapping[c]) for c in dom.cells]
-    return Element(spec, dom, rng, perm)
+        mapping.update(zip(canonical_order(cells1), canonical_order(cells2)))
+    return _from_mapping(spec, mapping)
 
 
 def tuple_stabilizer_shape(t: ConeTuple) -> tuple[int, ...]:
@@ -503,27 +467,10 @@ def disjointify(t: ConeTuple) -> ConeTuple:
         raise ConeError("disjointify requires a covering tuple")
     spec = t.spec
     n = len(t.cones)
+    groups = [cone.cells for cone in t.cones]
     label_cells: dict[int, list[Leaf]] = {}
     for r in range(spec.roots):
-        breaks = []
-        for bi in range(spec.num_blocks):
-            pts = {ZERO, ONE}
-            for cone in t.cones:
-                for c in cone.cells:
-                    if c.root == r:
-                        lo, hi = c.intervals[bi]
-                        pts.add(lo)
-                        pts.add(hi)
-            breaks.append(sorted(pts))
-        for corner in itertools.product(*(range(len(b) - 1) for b in breaks)):
-            box = tuple(
-                (breaks[bi][k], breaks[bi][k + 1]) for bi, k in enumerate(corner)
-            )
-            probe = Leaf(r, box)
-            mask = 0
-            for i, cone in enumerate(t.cones):
-                if any(leaf_contains(c, probe) for c in cone.cells):
-                    mask |= 1 << i
+        for mask, box in _sweep(spec, r, groups):
             if mask == 0:
                 raise ConeError("covering flag inconsistent with cells")
             label_cells.setdefault(mask, []).extend(_box_to_cells(spec, r, box))

@@ -18,6 +18,7 @@ from .terms import (
     Leaf,
     TermError,
     check_leaf,
+    expand,
     expansion_script,
     find_ancestor,
     leq,
@@ -81,6 +82,14 @@ class Element:
         return transport(anc, target, leaf)
 
 
+def _from_mapping(spec: AlgebraSpec, mapping: dict[Leaf, Leaf]) -> Element:
+    """The element sending each key leaf to its value; the keys and the
+    values must each form an admissible basis."""
+    dom = Basis.from_cells_trusted(spec, mapping.keys())
+    rng = Basis.from_cells_trusted(spec, mapping.values())
+    return Element(spec, dom, rng, [rng.index_of(mapping[c]) for c in dom.cells])
+
+
 def identity(spec: AlgebraSpec) -> Element:
     base = Basis.roots(spec)
     return Element(spec, base, base, range(len(base)))
@@ -100,28 +109,17 @@ def _same_spec(g: Element, h: Element) -> None:
 
 def expand_diagram(g: Element, refined_domain: Basis) -> Element:
     """Rewrite g on a finer domain basis (refined_domain >= g.domain)."""
-    pairs = [(c, g.image_of_leaf(c)) for c in refined_domain.cells]
-    rng = Basis.from_cells_trusted(g.spec, [img for _, img in pairs])
-    perm = [rng.index_of(img) for _, img in pairs]
-    return Element(g.spec, refined_domain, rng, perm)
+    return _from_mapping(g.spec, {c: g.image_of_leaf(c) for c in refined_domain.cells})
 
 
 def compose(g: Element, h: Element) -> Element:
     """g * h, applying h first."""
     _same_spec(g, h)
     mid = lub(h.range, g.domain)
-    pulled = []
-    pushed = []
     h_inv = invert(h)
-    for cell in mid.cells:
-        pulled.append(h_inv.image_of_leaf(cell))
-        pushed.append(g.image_of_leaf(cell))
-    dom = Basis.from_cells_trusted(g.spec, pulled)
-    rng = Basis.from_cells_trusted(g.spec, pushed)
-    perm = [0] * len(dom)
-    for p, q in zip(pulled, pushed):
-        perm[dom.index_of(p)] = rng.index_of(q)
-    return reduce(Element(g.spec, dom, rng, perm))
+    return reduce(
+        _from_mapping(g.spec, {h_inv.image_of_leaf(c): g.image_of_leaf(c) for c in mid.cells})
+    )
 
 
 def equals(g: Element, h: Element) -> bool:
@@ -165,10 +163,7 @@ def reduce(g: Element) -> Element:
             mapping[parent] = img_parent
             changed = True
             break
-    dom = Basis.from_cells_trusted(spec, mapping.keys())
-    rng = Basis.from_cells_trusted(spec, mapping.values())
-    perm = [rng.index_of(mapping[c]) for c in dom.cells]
-    return Element(spec, dom, rng, perm)
+    return _from_mapping(spec, mapping)
 
 
 def order_of(g: Element, cap: int):
@@ -260,11 +255,9 @@ def random_element(spec: AlgebraSpec, size_bound: int, seed: int) -> Element:
 
     def build(order):
         basis = Basis.roots(spec)
-        from .terms import expand as expand_basis
-
         for color in order:
             leaf = basis.cells[rng.randrange(len(basis))]
-            basis = expand_basis(basis, leaf, color)
+            basis = expand(basis, leaf, color)
         return basis
 
     domain = build(colors)

@@ -104,13 +104,6 @@ class SimplicialComplex:
         s = frozenset(s)
         return s in set(self.simplices.get(len(s) - 1, []))
 
-    def subcomplex(self, keep_vertex) -> "SimplicialComplex":
-        by_dim = {
-            d: [s for s in ss if all(keep_vertex(v) for v in s)]
-            for d, ss in self.simplices.items()
-        }
-        return SimplicialComplex(by_dim)
-
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         by_dim: dict[int, set[frozenset]] = {}
         mine = [frozenset()] + [s for ss in self.simplices.values() for s in ss]
@@ -398,11 +391,6 @@ def vertex_le(u: frozenset, v: frozenset) -> bool:
         if not (leaves <= owner_leaves and colors <= owner_colors):
             return False
     return True
-
-
-def vertex_size(vertex: frozenset) -> int:
-    """Number of basis elements after contracting: one per block."""
-    return len(vertex)
 
 
 def vertex_height(spec: AlgebraSpec, vertex: frozenset) -> tuple:

@@ -236,15 +236,18 @@ def _cells_in(cells, outer: Leaf):
 def _split_assignment(spec: AlgebraSpec, cuboid: Leaf, cells, color: int):
     """The children of ``cuboid`` under ``color`` with the cells inside
     each, or None if some cell lies in no single child."""
+    bi, n = spec.colors[color]
+    a, c, m = cuboid.grid[bi]
     parts = split_leaf(spec, cuboid, color)
     assignment = [[] for _ in parts]
-    for c in cells:
-        for k, p in enumerate(parts):
-            if leaf_contains(p, c):
-                assignment[k].append(c)
-                break
-        else:
+    for cell in cells:
+        # the child holding the cell's lower corner b/q is number
+        # floor((b/q - a/m) / ((c - a)/(m n)))
+        b, _, q = cell.grid[bi]
+        k = (b * m - a * q) * n // ((c - a) * q)
+        if not 0 <= k < n or not leaf_contains(parts[k], cell):
             return None
+        assignment[k].append(cell)
     return parts, assignment
 
 
@@ -288,6 +291,19 @@ def _replay_certificate(spec: AlgebraSpec, cuboid: Leaf, tree) -> frozenset:
     return frozenset(out)
 
 
+def _certificate(spec: AlgebraSpec, cells) -> dict[int, tuple] | None:
+    """The split tree of each root's cells in ``cells``, or None if some
+    root's cells are not an admissible pattern."""
+    cert: dict[int, tuple] = {}
+    for r in range(spec.roots):
+        group = frozenset(c for c in cells if c.root == r)
+        tree = _admissible_pattern(spec, root_leaf(spec, r), group)
+        if tree is None:
+            return None
+        cert[r] = tree
+    return cert
+
+
 def is_admissible(spec: AlgebraSpec, leaves) -> tuple[bool, dict | None]:
     """Decide reachability-from-the-roots for a cuboid partition.
 
@@ -310,22 +326,13 @@ def is_admissible(spec: AlgebraSpec, leaves) -> tuple[bool, dict | None]:
         for a, b in itertools.combinations(group, 2):
             if boxes_intersect(a, b):
                 raise TermError(f"overlapping leaves in root {r}")
-    cert: dict[int, tuple] = {}
-    for r, group in by_root.items():
-        tree = _admissible_pattern(spec, root_leaf(spec, r), frozenset(group))
-        if tree is None:
-            return False, None
-        cert[r] = tree
-    return True, cert
+    cert = _certificate(spec, cells)
+    return cert is not None, cert
 
 
 def cells_admissible(spec: AlgebraSpec, cells) -> bool:
     """Pattern-only admissibility for internally produced partitions."""
-    for r in range(spec.roots):
-        group = frozenset(c for c in cells if c.root == r)
-        if _admissible_pattern(spec, root_leaf(spec, r), group) is None:
-            return False
-    return True
+    return _certificate(spec, cells) is not None
 
 
 def boxes_intersect(a: Leaf, b: Leaf) -> bool:
@@ -375,13 +382,9 @@ class Basis:
         property, so the quadratic disjointness pre-check is skipped.
         """
         cells = list(cells)
-        cert: dict[int, tuple] = {}
-        for r in range(spec.roots):
-            group = frozenset(c for c in cells if c.root == r)
-            tree = _admissible_pattern(spec, root_leaf(spec, r), group)
-            if tree is None:
-                raise TermError("cell set is not admissible")
-            cert[r] = tree
+        cert = _certificate(spec, cells)
+        if cert is None:
+            raise TermError("cell set is not admissible")
         return Basis(spec, cells, cert)
 
     @staticmethod
@@ -645,32 +648,24 @@ def glb(a: Basis, b: Basis) -> Basis:
     return out
 
 
-def elementary_leq(a: Basis, b: Basis) -> bool:
-    """a <= b with no colour repeated along any split path."""
+def _split_paths(a: Basis, b: Basis):
+    """For a <= b, the per-colour split counts from each b-leaf's
+    ancestor in a, leaf by leaf."""
     _require_same_spec(a, b)
     if not leq(a, b):
         raise TermError("bases are not comparable")
-    spec = a.spec
     for cell in b.cells:
-        anc = find_ancestor(a, cell)
-        exps = relative_exponents(spec, anc, cell)
-        if any(e > 1 for e in exps):
-            return False
-    return True
+        yield relative_exponents(a.spec, find_ancestor(a, cell), cell)
+
+
+def elementary_leq(a: Basis, b: Basis) -> bool:
+    """a <= b with no colour repeated along any split path."""
+    return all(max(exps) <= 1 for exps in _split_paths(a, b))
 
 
 def very_elementary_leq(a: Basis, b: Basis) -> bool:
     """a <= b with every split path of length at most 1."""
-    _require_same_spec(a, b)
-    if not leq(a, b):
-        raise TermError("bases are not comparable")
-    spec = a.spec
-    for cell in b.cells:
-        anc = find_ancestor(a, cell)
-        exps = relative_exponents(spec, anc, cell)
-        if sum(exps) > 1:
-            return False
-    return True
+    return all(sum(exps) <= 1 for exps in _split_paths(a, b))
 
 
 def max_elementary(a: Basis) -> Basis:

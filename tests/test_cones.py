@@ -4,6 +4,7 @@ import random
 import pytest
 from fractions import Fraction as F
 
+from cantorv.algebra import parse_spec
 from cantorv.cones import (
     Cone,
     ConeError,
@@ -24,7 +25,7 @@ from cantorv.cones import (
     witness_basis,
 )
 from cantorv.elements import compose, identity, invert, permutation_element, random_element
-from cantorv.terms import Basis, expand, enumerate_bases, root_leaf, split_leaf
+from cantorv.terms import Basis, Leaf, expand, enumerate_bases, root_leaf, split_leaf
 
 
 def _halves(spec):
@@ -360,6 +361,39 @@ def test_disjointify_equivariance_samples(specs):
             rhs = act_tuple(g, disjointify(t))
             for a, b in zip(lhs.cones, rhs.cones):
                 assert cone_equals(a, b)
+
+
+def test_break_grid_outside_the_arity_monoid():
+    """In block[4,6] the break 1/6 - 1/4 sits on denominator 12, which is
+    no product of 4s and 6s, so the cells land on the 24-grid."""
+    spec = parse_spec("roots=1; block[4,6]")
+
+    def leaf(lo, hi):
+        return Leaf(0, ((F(lo), F(hi)),))
+
+    def text(cone):
+        return cone_to_text(cone).splitlines()
+
+    u = Cone.from_leaves(spec, [leaf(0, F(1, 4)), leaf(0, F(1, 6))])
+    assert text(u) == ["root:0 [0/1,1/6)", "root:0 [1/6,5/24)", "root:0 [5/24,1/4)"]
+    meet = cone_intersection(u, Cone.from_leaves(spec, [leaf(F(1, 6), F(1, 3))]))
+    assert text(meet) == ["root:0 [1/6,5/24)", "root:0 [5/24,1/4)"]
+    rest = Cone.from_leaves(
+        spec, [leaf(F(1, 4), F(1, 2)), leaf(F(1, 2), F(3, 4)), leaf(F(3, 4), 1)]
+    )
+    slots = disjointify(ConeTuple(spec, [u, meet, rest]))
+    assert [text(c) for c in slots.cones] == [
+        ["root:0 [0/1,1/6)"],
+        ["EMPTY"],
+        ["root:0 [1/6,5/24)", "root:0 [5/24,1/4)"],
+        ["root:0 [1/4,1/2)", "root:0 [1/2,3/4)", "root:0 [3/4,1/1)"],
+        ["EMPTY"],
+        ["EMPTY"],
+        ["EMPTY"],
+    ]
+    basis, parts = witness_basis(spec, [meet])
+    assert len(basis) == 24
+    assert [len(p) for p in parts] == [2]
 
 
 # -- serialisation ------------------------------------------------------------

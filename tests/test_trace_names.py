@@ -1,0 +1,73 @@
+"""The benchmark's tracer must keep seeing the engine's calls.
+
+``perfbench/tracing.py`` wraps engine functions by module attribute, so a
+call that a refactor inlines, renames or imports under another name stops
+recording spans and its per-layer metrics silently read 0.  This test
+installs the tracer as the benchmark does, runs a small mix of element,
+centraliser and cone operations, and checks that the spans the
+``words`` and ``symmetry`` metrics rest on all record calls.
+"""
+
+import importlib.util
+import pathlib
+
+import cantorv.centralizer as Z
+import cantorv.cones as C
+import cantorv.elements as E
+from cantorv.terms import Basis, expand
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+EXPECTED_SPANS = [
+    "terms.cells_admissible",
+    "terms.basis_build",
+    "terms.expand",
+    "elements.reduce",
+    "cones.witness_basis",
+    "cones.disjointify",
+    "centralizer.build_kernel_element",
+    "centralizer.splitting_lift",
+]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_mix(spec):
+    """Operations called through module attributes, as the workloads do."""
+    g = E.random_element(spec, 4, 1)
+    h = E.random_element(spec, 4, 2)
+    E.compose(g, h)
+
+    x = Basis.roots(spec)
+    halves = expand(x, x.cells[0], 0)
+    q = E.close_subgroup([E.permutation_element(halves, [1, 0])], 8)
+    report = Z.centralizer_structure(q).report
+    for tid, tdata in report.types.items():
+        qspec = Z.quotient_spec(spec, tdata.r)
+        roots = Basis.roots(qspec)
+        labels = {c: tuple(range(tdata.m)) for c in roots.cells}
+        Z.build_kernel_element(report, tid, Z.KernelElement(qspec, roots, labels))
+        Z.splitting_lift(report, tid, E.identity(qspec))
+
+    left = C.Cone.from_leaves(spec, [halves.cells[0]])
+    full = C.Cone.from_leaves(spec, x.cells)
+    parts = C.disjointify(C.ConeTuple(spec, [left, full]))
+    C.tuple_witness(parts, C.act_tuple(g, parts))
+
+
+def test_traced_spans_record_calls(v21):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        _run_mix(v21)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    silent = [name for name in EXPECTED_SPANS if not metrics.get(f"{name}.calls")]
+    assert silent == []
+    assert not hasattr(E.compose, "__wrapped__"), "tracer left installed"
