@@ -11,17 +11,17 @@ unordered; comparisons are partition refinement with colour containment.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraSpec
 from .terms import (
     Basis,
     TermError,
+    _single_splits,
     elementary_leq,
     enumerate_bases,
     find_ancestor,
-    leq,
     relative_exponents,
 )
 
@@ -35,11 +35,20 @@ class ComplexError(ValueError):
 # ---------------------------------------------------------------------------
 
 class SimplicialComplex:
-    """Face-closed abstract complex over hashable vertices."""
+    """Face-closed abstract complex over hashable vertices.
+
+    Simplices are kept sorted by the sorted reprs of their vertices.  Each
+    vertex's repr is taken once and replaced by its rank among all of them
+    (equal reprs share a rank), which orders simplices the same way.
+    """
 
     def __init__(self, simplices_by_dim: dict[int, list[frozenset]]):
+        verts = {v for ss in simplices_by_dim.values() for s in ss for v in s}
+        reprs = {v: repr(v) for v in verts}
+        order = {r: i for i, r in enumerate(sorted(set(reprs.values())))}
+        rank = self._rank = {v: order[r] for v, r in reprs.items()}
         self.simplices = {
-            d: sorted(set(s), key=lambda s: sorted(repr(v) for v in s))
+            d: sorted(set(s), key=lambda s: sorted([rank[v] for v in s]))
             for d, s in simplices_by_dim.items()
             if s
         }
@@ -175,38 +184,43 @@ class ChainComplexReport:
 
 
 def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
+    """Rank over GF(2) of bitmask rows, with pivots keyed by leading bit."""
+    pivots: dict[int, int] = {}
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    m = [r[:] for r in rows]
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][c]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _rational_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows ``{column: entry}``, by
+    fraction-free elimination with pivots keyed by leading column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = math.gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            new = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = new.get(c, 0) - b * x
+                if y:
+                    new[c] = y
+                else:
+                    del new[c]
+            g = math.gcd(*new.values())
+            row = {c: x // g for c, x in new.items()} if g > 1 else new
+    return len(pivots)
 
 
 def homology(
@@ -214,9 +228,11 @@ def homology(
 ) -> ChainComplexReport:
     """Reduced Betti numbers via boundary-matrix ranks.
 
-    GF(2) elimination over bitmask rows by default; exact rational ranks on
-    demand to catch 2-torsion masking.  Dimension -1 reports the reduced
-    homology of the empty complex.
+    Exact integer elimination: over GF(2) on bitmask rows by default, and
+    over Q on sparse integer rows on demand, to catch 2-torsion masking.
+    Dimension -1 reports the reduced homology of the empty complex.
+    Raises ComplexError if the ranks give a negative Betti number or a
+    rational Betti number above the GF(2) one.
     """
     if complex_.is_empty():
         report = {-1: 1}
@@ -225,68 +241,44 @@ def homology(
             betti_rational=dict(report) if rational else None,
             euler=0,
         )
-    dims = sorted(complex_.simplices)
-    top = max(dims)
-    index: dict[int, dict[frozenset, int]] = {
-        d: {s: i for i, s in enumerate(complex_.simplices[d])} for d in dims
-    }
-    orders: dict[frozenset, tuple] = {}
-    for d in dims:
+    top = max(complex_.simplices)
+    rank = complex_._rank.__getitem__
+    sizes = {d: len(complex_.simplices.get(d, [])) for d in range(top + 1)}
+    # the boundary of each d-simplex as the indices of its faces, in the
+    # order of its vertices; dimension 0 bounds the empty simplex, index 0
+    faces: dict[int, list[list[int]]] = {0: [[0]] * sizes[0]}
+    for d in range(1, top + 1):
+        lower = {s: i for i, s in enumerate(complex_.simplices[d - 1])}
+        rows = faces[d] = []
         for s in complex_.simplices[d]:
-            orders[s] = tuple(sorted(s, key=repr))
+            verts = sorted(s, key=rank)
+            rows.append(
+                [lower[frozenset(verts[:i] + verts[i + 1 :])] for i in range(len(verts))]
+            )
 
-    def boundary_rows_gf2(d: int) -> list[int]:
-        if d == 0:
-            return [1] * len(complex_.simplices[0])
-        rows = []
-        lower = index[d - 1]
-        for s in complex_.simplices[d]:
-            verts = orders[s]
-            mask = 0
-            for i in range(len(verts)):
-                face = frozenset(verts[:i] + verts[i + 1 :])
-                mask |= 1 << lower[face]
-            rows.append(mask)
-        return rows
+    def betti(ranks: dict[int, int]) -> dict[int, int]:
+        out = {d: sizes[d] - ranks[d] - ranks.get(d + 1, 0) for d in range(top + 1)}
+        if any(b < 0 for b in out.values()):
+            raise ComplexError("boundary ranks exceed the chain group sizes")
+        return out
 
-    def boundary_rows_rational(d: int) -> list[list[Fraction]]:
-        if d == 0:
-            return [[Fraction(1)] for _ in complex_.simplices[0]]
-        rows = []
-        lower = index[d - 1]
-        width = len(complex_.simplices[d - 1])
-        for s in complex_.simplices[d]:
-            verts = orders[s]
-            row = [Fraction(0)] * width
-            for i in range(len(verts)):
-                face = frozenset(verts[:i] + verts[i + 1 :])
-                row[lower[face]] = Fraction((-1) ** i)
-            rows.append(row)
-        return rows
-
-    ranks_gf2 = {d: _gf2_rank(boundary_rows_gf2(d)) for d in range(top + 1)}
-    betti_gf2 = {}
-    for d in range(top + 1):
-        n_d = len(complex_.simplices.get(d, []))
-        null = n_d - ranks_gf2[d]
-        betti_gf2[d] = null - ranks_gf2.get(d + 1, 0)
+    betti_gf2 = betti({
+        d: _gf2_rank([sum(1 << j for j in row) for row in rows])
+        for d, rows in faces.items()
+    })
     betti_rat = None
     if rational:
-        ranks_rat = {
-            d: _rational_rank(boundary_rows_rational(d)) for d in range(top + 1)
-        }
-        betti_rat = {}
-        for d in range(top + 1):
-            n_d = len(complex_.simplices.get(d, []))
-            betti_rat[d] = n_d - ranks_rat[d] - ranks_rat.get(d + 1, 0)
-    report = ChainComplexReport(
+        betti_rat = betti({
+            d: _rational_rank([{j: (-1) ** i for i, j in enumerate(row)} for row in rows])
+            for d, rows in faces.items()
+        })
+        if any(betti_rat[d] > betti_gf2[d] for d in betti_rat):
+            raise ComplexError("a rational Betti number exceeds the GF(2) one")
+    return ChainComplexReport(
         betti_gf2=betti_gf2,
         betti_rational=betti_rat,
         euler=complex_.euler_characteristic(),
     )
-    if report.euler != complex_.euler_characteristic():
-        raise ComplexError("euler characteristic self-check failed")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +294,16 @@ def build_stein(spec: AlgebraSpec, size_cap: int, cap: int | None = None) -> Sim
     """
     bases = enumerate_bases(spec, size_cap, cap=cap)
     n = len(bases)
-    less: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, a in enumerate(bases):
-        for j, b in enumerate(bases):
-            if i != j and len(a) <= len(b) and a != b and leq(a, b):
-                less[i].append(j)
+    index = {b.cellset(): i for i, b in enumerate(bases)}
+    # a <= b means b is reachable from a by single splits, all of them
+    # inside the window, so the strict order is the transitive closure of
+    # the covers; bases come by size, so the covers of i come after i
+    above = [0] * n
+    for i in range(n - 1, -1, -1):
+        for cells in _single_splits(bases[i], size_cap):
+            j = index[cells]
+            above[i] |= (1 << j) | above[j]
+    less = [[j for j in range(i + 1, n) if above[i] >> j & 1] for i in range(n)]
     elem: dict[tuple[int, int], bool] = {}
 
     def elementary(i: int, j: int) -> bool:

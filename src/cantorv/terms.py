@@ -695,21 +695,28 @@ def enumerate_bases(spec: AlgebraSpec, max_size: int, cap: int | None = None) ->
     seen = {start.cellset(): start}
     queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for leaf in cur.cells:
-            for color in range(spec.num_colors):
-                n = spec.arity(color)
-                if len(cur) + n - 1 > max_size:
-                    continue
-                cells = frozenset(set(cur.cells) - {leaf} | set(split_leaf(spec, leaf, color)))
-                if cells in seen:
-                    continue
-                nxt = Basis.from_cells_trusted(spec, cells)
-                seen[cells] = nxt
-                if cap is not None and len(seen) > cap:
-                    raise ResourceCapError("basis enumeration exceeded cap")
-                queue.append(nxt)
+        for cells in _single_splits(queue.popleft(), max_size):
+            if cells in seen:
+                continue
+            nxt = Basis.from_cells_trusted(spec, cells)
+            seen[cells] = nxt
+            if cap is not None and len(seen) > cap:
+                raise ResourceCapError("basis enumeration exceeded cap")
+            queue.append(nxt)
     return _canonical_bases(seen.values())
+
+
+def _single_splits(b: Basis, max_size: int):
+    """The cell sets of the bases one split of one leaf of ``b`` reaches,
+    those with at most ``max_size`` leaves: the covers of ``b`` in the
+    expansion order, restricted to that window."""
+    spec = b.spec
+    cells = b.cellset()
+    for leaf in b.cells:
+        rest = cells - {leaf}
+        for color in range(spec.num_colors):
+            if len(b) + spec.arity(color) - 1 <= max_size:
+                yield rest.union(split_leaf(spec, leaf, color))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cantorv.stein as stein_module
 from cantorv.stein import (
     ComplexError,
     SimplicialComplex,
+    _gf2_rank,
+    _rational_rank,
     build_stein,
     classify_vertex,
     coarsening_vertex,
@@ -81,6 +87,69 @@ def test_join_with_point_is_cone():
     assert homology(cone).reduced_vanishes()
 
 
+def test_projective_plane_has_2_torsion():
+    # the 6-vertex RP^2: H_1 = Z/2 shows over GF(2) and vanishes over Q
+    facets = "123 134 145 156 162 235 346 452 563 624".split()
+    cx = SimplicialComplex.from_maximal([frozenset(map(int, f)) for f in facets])
+    assert cx.f_vector() == {0: 6, 1: 15, 2: 10}
+    rep = homology(cx, rational=True)
+    assert rep.betti_gf2 == {0: 0, 1: 1, 2: 1}
+    assert rep.betti_rational == {0: 0, 1: 0, 2: 0}
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("_gf2_rank", lambda rank: lambda rows: rank(rows) + 1),
+     ("_rational_rank", lambda rank: lambda rows: max(rank(rows) - 1, 0))],
+    ids=["gf2_overcount", "rational_undercount"],
+)
+def test_homology_rejects_inconsistent_ranks(monkeypatch, name, wrong):
+    # an overcounted GF(2) rank makes a Betti number negative; an
+    # undercounted rational rank puts a rational Betti number above GF(2)
+    cx = SimplicialComplex.from_maximal([frozenset((0, 1, 2))])
+    monkeypatch.setattr(stein_module, name, wrong(getattr(stein_module, name)))
+    with pytest.raises(ComplexError):
+        homology(cx, rational=name == "_rational_rank")
+
+
+def _dense_rank(matrix, reduce):
+    """Rank by textbook Gauss-Jordan elimination on dense rows; ``reduce``
+    maps an entry into the field."""
+    m = [[reduce(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] / m[rank][c]
+                m[r] = [reduce(x - f * y) for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _matrices(entries):
+    return st.integers(1, 7).flatmap(
+        lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=8)
+    )
+
+
+@given(matrix=_matrices(st.integers(0, 1)))
+@settings(max_examples=200, deadline=None)
+def test_gf2_rank_matches_dense_elimination(matrix):
+    rows = [sum(x << j for j, x in enumerate(row)) for row in matrix]
+    assert _gf2_rank(rows) == _dense_rank(matrix, lambda x: Fraction(x) % 2)
+
+
+@given(matrix=_matrices(st.integers(-1, 1)))
+@settings(max_examples=200, deadline=None)
+def test_rational_rank_matches_dense_elimination(matrix):
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    assert _rational_rank(rows) == _dense_rank(matrix, Fraction)
+
+
 # -- model complex ----------------------------------------------------------
 
 def test_model_k4_matching_complex(v21):
@@ -150,6 +219,35 @@ def test_build_stein_faces_closed(v21):
         for s in cx.simplices[d]:
             for v in s:
                 assert cx.contains_simplex(s - {v})
+
+
+@pytest.mark.parametrize(
+    "name, cap, f",
+    [("v21", 5, {0: 23, 1: 36, 2: 14}),
+     ("stein23", 5, {0: 53, 1: 94, 2: 48, 3: 6}),
+     ("2v", 4, {0: 50, 1: 87, 2: 42, 3: 4}),
+     ("mixed232", 4, {0: 61, 1: 108, 2: 52, 3: 4})],
+    ids=["v21-5", "stein23-5", "2v-4", "mixed232-4"],
+)
+def test_build_stein_edges_match_pairwise_scan(specs, name, cap, f):
+    spec = specs[name]
+    cx = build_stein(spec, cap)
+    bases = enumerate_bases(spec, cap)
+    pairs = {
+        frozenset((a, b))
+        for a in bases
+        for b in bases
+        if a != b and leq(a, b) and elementary_leq(a, b)
+    }
+    assert set(cx.simplices[1]) == pairs
+    assert cx.f_vector() == f
+
+
+def test_simplex_order_is_by_vertex_reprs(v21, stein23):
+    for cx in (descending_link(stein23, 5), build_stein(v21, 4)):
+        for d, simplices in cx.simplices.items():
+            assert simplices == sorted(simplices, key=lambda s: sorted(repr(v) for v in s))
+        assert cx.vertices() == sorted(cx.vertices(), key=repr)
 
 
 # -- links --------------------------------------------------------------------
