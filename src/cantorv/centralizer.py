@@ -64,27 +64,22 @@ def _perm_inv(p):
 
 
 class GroupData:
-    """Index-based multiplication structure of a finite subgroup."""
+    """Index-based multiplication structure of a finite subgroup.
 
-    def __init__(self, q: FiniteSubgroup):
+    ``perms`` lists each element's permutation of an invariant basis, in
+    element order.  The action is faithful (an element fixing every leaf
+    is the identity), so the group law is read off the permutations.
+    """
+
+    def __init__(self, q: FiniteSubgroup, perms):
         self.subgroup = q
         self.elements = list(q.elements)
-        n = len(self.elements)
-        self.identity_index = next(
-            i for i, g in enumerate(self.elements) if equals(g, identity(q.spec))
-        )
-        self.mult = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                prod = compose(a, b)
-                self.mult[i][j] = next(
-                    k for k, c in enumerate(self.elements) if equals(prod, c)
-                )
-        self.inv = [0] * n
-        for i in range(n):
-            self.inv[i] = next(
-                j for j in range(n) if self.mult[i][j] == self.identity_index
-            )
+        index = {p: i for i, p in enumerate(perms)}
+        if len(index) != len(self.elements):
+            raise TermError("two elements act by the same permutation")
+        self.identity_index = index[tuple(range(len(perms[0])))]
+        self.mult = [[index[_perm_mul(a, b)] for b in perms] for a in perms]
+        self.inv = [index[_perm_inv(p)] for p in perms]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -133,19 +128,20 @@ def invariant_basis(q: FiniteSubgroup, max_iter: int = 64) -> Basis:
             mid = lub(g.domain, y)
             acc = lub(acc, apply_to_basis(g, mid))
         if acc == y:
-            for g in q.elements:
-                rep = represent_on(g, y)
-                if rep is None or rep[0] != y:
-                    raise IterationCapExceededError(
-                        "fixed point is not invariant; model violation"
-                    )
+            if not _is_invariant(q, y):
+                raise IterationCapExceededError(
+                    "fixed point is not invariant; model violation"
+                )
             return y
         y = acc
     raise IterationCapExceededError(f"no invariant basis within {max_iter} rounds")
 
 
 def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
-    for g in q.elements:
+    """Whether every element of q carries each leaf of y onto a leaf of y
+    by transport.  Such maps are closed under products and inverses, so
+    the generators decide it for the whole group."""
+    for g in q.generators:
         rep = represent_on(g, y)
         if rep is None or rep[0] != y:
             return False
@@ -154,14 +150,13 @@ def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
 
 def minimize_invariant_basis(y: Basis, q: FiniteSubgroup) -> Basis:
     """Smallest invariant basis reachable from y by contractions
-    (exhaustive search below y; ties broken canonically)."""
+    (exhaustive search below y; ties broken canonically).
+
+    ``lower_closure`` sorts by size, then canonically, so the first
+    invariant basis in it is the answer; y itself ends the list."""
     if not _is_invariant(q, y):
         raise TermError("basis is not invariant")
-    best = y
-    for cand in lower_closure(y):
-        if len(cand) < len(best) and _is_invariant(q, cand):
-            best = cand
-    return best
+    return next(cand for cand in lower_closure(y) if _is_invariant(q, cand))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +204,13 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     is numbered compatibly with the type's reference orbit, so one
     permutation representation serves all of them.
     """
-    group = GroupData(q)
     perms: dict[int, tuple[int, ...]] = {}
-    for gi, g in enumerate(group.elements):
+    for gi, g in enumerate(q.elements):
         rep = represent_on(g, y)
         if rep is None or rep[0] != y:
             raise TermError("basis is not invariant under the subgroup")
         perms[gi] = rep[1]
+    group = GroupData(q, list(perms.values()))
     n = len(y)
     seen: set[int] = set()
     orbits: list[OrbitData] = []
@@ -454,6 +449,17 @@ def _orbit_copies(report: InvariantBasisReport, type_id: str):
     return out
 
 
+def _fix_other_types(report: InvariantBasisReport, type_id: str) -> dict[Leaf, Leaf]:
+    """The identity on the Y-leaves of every orbit not of the type."""
+    cells = report.basis.cells
+    return {
+        cells[pos]: cells[pos]
+        for orb in report.orbits
+        if orb.type_id != type_id
+        for pos in orb.indices
+    }
+
+
 def build_kernel_element(
     report: InvariantBasisReport, type_id: str, k: KernelElement
 ) -> Element:
@@ -467,15 +473,7 @@ def build_kernel_element(
     for lab in k.labels.values():
         if len(lab) != tdata.m:
             raise TermError("label degree does not match the orbit length")
-    mapping: dict[Leaf, Leaf] = {}
-    other = {
-        report.basis.cells[pos]
-        for oid, orb in enumerate(report.orbits)
-        if orb.type_id != type_id
-        for pos in orb.indices
-    }
-    for cell in other:
-        mapping[cell] = cell
+    mapping = _fix_other_types(report, type_id)
     for j, letter_cells in enumerate(copies):
         qroot = root_leaf(k.qspec, j)
         for a in k.basis.cells:
@@ -508,12 +506,7 @@ def splitting_lift(
     copies = _orbit_copies(report, type_id)
     if v.spec.roots != tdata.r or v.spec.blocks != spec.blocks:
         raise TermError("element is over the wrong quotient")
-    mapping: dict[Leaf, Leaf] = {}
-    for orb in report.orbits:
-        if orb.type_id != type_id:
-            for pos in orb.indices:
-                cell = report.basis.cells[pos]
-                mapping[cell] = cell
+    mapping = _fix_other_types(report, type_id)
     qspec = v.spec
     for i, dcell in enumerate(v.domain.cells):
         rcell = v.range.cells[v.perm[i]]

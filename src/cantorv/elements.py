@@ -205,9 +205,11 @@ def represent_on(g: Element, y: Basis):
         raise TermError("element and basis belong to different specs")
     mid = lub(g.domain, y)
     spec = g.spec
+    under: dict[Leaf, list[Leaf]] = {cell: [] for cell in y.cells}
+    for c in mid.cells:
+        under[find_ancestor(y, c)].append(c)
     targets: list[Leaf] = []
-    for cell in y.cells:
-        below = [c for c in mid.cells if find_ancestor(y, c) == cell]
+    for cell, below in under.items():
         first = below[0]
         img = g.image_of_leaf(first)
         target = transport(first, img, cell)

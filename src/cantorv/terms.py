@@ -542,16 +542,17 @@ def leq(a: Basis, b: Basis) -> bool:
     return True
 
 
-def _first_colors(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset) -> set[int]:
-    """Colours that can open a derivation of ``cells`` from ``cuboid``."""
-    out = set()
+def _first_colors(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset) -> dict:
+    """Colours that can open a derivation of ``cells`` from ``cuboid``,
+    each mapped to its parts and the cells inside each part."""
+    out = {}
     for color in range(spec.num_colors):
         split = _split_assignment(spec, cuboid, cells, color)
-        if split is not None and all(
-            _admissible_pattern(spec, p, frozenset(sub)) is not None
-            for p, sub in zip(*split)
-        ):
-            out.add(color)
+        if split is None:
+            continue
+        parts, subs = split[0], [frozenset(sub) for sub in split[1]]
+        if all(_admissible_pattern(spec, p, sub) is not None for p, sub in zip(parts, subs)):
+            out[color] = (parts, subs)
     return out
 
 
@@ -574,12 +575,13 @@ def _lub_pattern(spec: AlgebraSpec, cuboid: Leaf, A: frozenset, B: frozenset) ->
     fsb = _first_colors(spec, cuboid, B)
     if not fsa or not fsb:
         raise NotBoundedError("admissible pattern with no opening colour")
-    common = fsa & fsb
+    common = fsa.keys() & fsb.keys()
     if common:
         color = min(common)
+        (parts, subs_a), (_, subs_b) = fsa[color], fsb[color]
         out: set[Leaf] = set()
-        for part in split_leaf(spec, cuboid, color):
-            out |= _lub_pattern(spec, part, _cells_in(A, part), _cells_in(B, part))
+        for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
+            out |= _lub_pattern(spec, part, sub_a, sub_b)
         return frozenset(out)
     i, j = min(fsa), min(fsb)
     grid = frozenset(

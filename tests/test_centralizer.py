@@ -20,6 +20,7 @@ from cantorv.centralizer import (
     quotient_spec,
     splitting_lift,
     type_centralizer_L,
+    _is_invariant,
     _perm_mul,
     _perm_inv,
 )
@@ -34,7 +35,15 @@ from cantorv.elements import (
     random_element,
     represent_on,
 )
-from cantorv.terms import Basis, expand, max_elementary
+from cantorv import parse_spec
+from cantorv.terms import (
+    Basis,
+    TermError,
+    enumerate_bases,
+    expand,
+    lower_closure,
+    max_elementary,
+)
 
 
 def _halves(spec):
@@ -433,16 +442,99 @@ def test_orbit_type_transport(v31):
         assert conj_perms == image
 
 
+def _group_data(q):
+    return orbit_types(invariant_basis(q), q).group
+
+
 def test_group_data_cyclic_detection(v21, v31):
-    assert GroupData(_sigma_group(v21)).is_cyclic()
-    assert GroupData(_three_cycle_group(v31)).is_cyclic()
+    assert _group_data(_sigma_group(v21)).is_cyclic()
+    assert _group_data(_three_cycle_group(v31)).is_cyclic()
     h = _halves(v21)
     b3 = expand(h, h.cells[0], 0)
     s3 = close_subgroup(
         [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
         24,
     )
-    assert not GroupData(s3).is_cyclic()
+    assert not _group_data(s3).is_cyclic()
+
+
+def _conjugated_group(source, size, seed):
+    """A permutation of a basis with ``size`` leaves, conjugated by a random
+    element, as the symmetry benchmark builds its subgroups.  The instances
+    below are ones ``close_subgroup`` closes; its final sort still fails on
+    some others."""
+    spec = parse_spec(source)
+    bases = [b for b in enumerate_bases(spec, size) if len(b) == size]
+    rng = random.Random(seed)
+    b = rng.choice(bases)
+    perm = list(range(size))
+    while perm == sorted(perm):
+        rng.shuffle(perm)
+    p = permutation_element(b, perm)
+    c = random_element(spec, spec.roots + 2, rng.randrange(2**31))
+    return close_subgroup([compose(compose(c, p), invert(c))], 64)
+
+
+def _reference_groups(v21, v31):
+    """(subgroup, invariant basis) pairs for the reference tests."""
+    h = _halves(v21)
+    b3 = expand(h, h.cells[0], 0)
+    s3 = close_subgroup(
+        [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
+        24,
+    )
+    # a Klein four-group on the quarters: the first generator alone keeps
+    # the halves invariant, the second does not
+    quarters = expand(expand(h, h.cells[0], 0), h.cells[1], 0)
+    klein = close_subgroup(
+        [permutation_element(quarters, [2, 3, 0, 1]), permutation_element(quarters, [1, 0, 3, 2])],
+        8,
+    )
+    spec2 = parse_spec("roots=2; block[2]")
+    out = [(s3, b3), (klein, quarters), (close_subgroup([identity(spec2)], 4), Basis.roots(spec2))]
+    groups = [_sigma_group(v21), _three_cycle_group(v31), _mixed_group(v21)]
+    groups += [
+        _conjugated_group(source, size, seed)
+        for source, size, seed in [
+            ("roots=1; block[2]", 4, 1),
+            ("roots=1; block[2,3]", 3, 1),
+            ("roots=1; block[2,3]", 4, 2),
+            ("roots=1; block[2]; block[3]", 4, 1),
+            ("roots=2; block[2]", 4, 0),
+        ]
+    ]
+    return out + [(q, invariant_basis(q)) for q in groups]
+
+
+def test_group_data_matches_diagram_composition(v21, v31):
+    # reference: the table built from diagrams, n^2 compose and a linear
+    # equals search per entry
+    for q, y in _reference_groups(v21, v31):
+        gd = orbit_types(y, q).group
+        elems = list(q.elements)
+        n = len(elems)
+        ident = next(i for i, g in enumerate(elems) if equals(g, identity(q.spec)))
+        mult = [
+            [next(k for k, c in enumerate(elems) if equals(compose(a, b), c)) for b in elems]
+            for a in elems
+        ]
+        inv = [next(j for j in range(n) if mult[i][j] == ident) for i in range(n)]
+        assert (gd.mult, gd.inv, gd.identity_index) == (mult, inv, ident)
+
+
+def test_group_data_rejects_repeated_permutations(v21):
+    q = _sigma_group(v21)
+    perms = list(orbit_types(invariant_basis(q), q).perms.values())
+    with pytest.raises(TermError):
+        GroupData(q, [perms[0]] * len(perms))
+
+
+def test_generators_decide_invariance(v21, v31):
+    for q, y in _reference_groups(v21, v31):
+        for cand in lower_closure(y):
+            reps = [represent_on(g, cand) for g in q.elements]
+            scan = all(rep is not None and rep[0] == cand for rep in reps)
+            assert _is_invariant(q, cand) == scan
 
 
 # -- decomposition attempt ------------------------------------------------------

@@ -25,6 +25,10 @@ EXPECTED_SPANS = [
     "elements.reduce",
     "cones.witness_basis",
     "cones.disjointify",
+    "elements.represent_on",
+    "centralizer.invariant_basis",
+    "centralizer.minimize_invariant_basis",
+    "centralizer.orbit_types",
     "centralizer.build_kernel_element",
     "centralizer.splitting_lift",
 ]
