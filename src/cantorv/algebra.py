@@ -177,9 +177,6 @@ class AlgebraSpec:
     def block_of(self, color: int) -> int:
         return self.colors[color][0]
 
-    def block_colors(self, block_index: int) -> list[int]:
-        return [c for c, (bi, _) in enumerate(self.colors) if bi == block_index]
-
     def cache(self, name: str) -> dict:
         return self._caches.setdefault(name, {})
 

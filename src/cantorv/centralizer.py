@@ -192,9 +192,6 @@ class InvariantBasisReport:
     orbits: list[OrbitData]
     types: dict[str, TypeData]
 
-    def type_of_orbit(self, orbit_id: int) -> str:
-        return self.orbits[orbit_id].type_id
-
 
 def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     """Split an invariant basis into orbits and classify their types.

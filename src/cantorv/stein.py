@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .algebra import AlgebraSpec
 from .terms import (
@@ -64,34 +66,17 @@ class SimplicialComplex:
         return SimplicialComplex({d: list(s) for d, s in by_dim.items()})
 
     @staticmethod
-    def flag(vertices, compatible) -> "SimplicialComplex":
-        """All cliques of the compatibility relation (which must be one
-        whose simplices are determined pairwise, e.g. disjointness or
-        comparability)."""
-        verts = list(vertices)
-        n = len(verts)
-        adj = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if compatible(verts[i], verts[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
+    def flag(vertices, neighbours) -> "SimplicialComplex":
+        """All cliques of the graph where bit j of ``neighbours[i]`` joins
+        vertices i and j, grown depth first; a clique carries the mask of
+        the vertices after its last one that are adjacent to all of it."""
+        upper = [nb >> i + 1 << i + 1 for i, nb in enumerate(neighbours)]
         by_dim: dict[int, list[frozenset]] = {}
-        cliques: list[tuple[int, ...]] = [(i,) for i in range(n)]
-        while cliques:
-            for c in cliques:
-                by_dim.setdefault(len(c) - 1, []).append(
-                    frozenset(verts[i] for i in c)
-                )
-            nxt = []
-            for c in cliques:
-                last = c[-1]
-                options = set(range(last + 1, n))
-                for i in c:
-                    options &= adj[i]
-                for j in sorted(options):
-                    nxt.append(c + (j,))
-            cliques = nxt
+        stack = [((i,), mask) for i, mask in enumerate(upper)]
+        while stack:
+            c, mask = stack.pop()
+            by_dim.setdefault(len(c) - 1, []).append(frozenset(vertices[i] for i in c))
+            stack.extend((c + (j,), mask & upper[j]) for j in _bits(mask))
         return SimplicialComplex(by_dim)
 
     def dimension(self) -> int:
@@ -126,9 +111,15 @@ class SimplicialComplex:
 
     def barycentric_subdivision(self) -> "SimplicialComplex":
         faces = [s for ss in self.simplices.values() for s in ss]
-        return SimplicialComplex.flag(
-            faces, lambda a, b: a < b or b < a
-        )
+        holding = _holding(faces)
+        full = (1 << len(faces)) - 1
+        neighbours = []
+        for i, face in enumerate(faces):
+            # the faces holding all its vertices, and those holding none it lacks
+            up = reduce(and_, (holding[v] for v in face))
+            lacked = reduce(or_, (mask for v, mask in holding.items() if v not in face), 0)
+            neighbours.append((up | full & ~lacked) & ~(1 << i))
+        return SimplicialComplex.flag(faces, neighbours)
 
     def connected_components(self) -> int:
         verts = self.vertices()
@@ -147,6 +138,23 @@ class SimplicialComplex:
             if ra != rb:
                 parent[ra] = rb
         return len({find(i) for i in range(len(verts))})
+
+
+def _bits(mask: int):
+    """The indices of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _holding(sets) -> dict:
+    """Each element of some sets -> the bitset of the sets that hold it."""
+    out: dict = {}
+    for i, members in enumerate(sets):
+        for x in members:
+            out[x] = out.get(x, 0) | 1 << i
+    return out
 
 
 def complexes_isomorphic_via(
@@ -377,17 +385,7 @@ def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozens
 def vertex_le(u: frozenset, v: frozenset) -> bool:
     """u <= v iff v refines u: every v-block nests in a u-block with a
     colour subset (u is the coarser basis)."""
-    if u == v:
-        return True
-    cover: dict[int, tuple] = {}
-    for leaves, colors in u:
-        for pos in leaves:
-            cover[pos] = (leaves, colors)
-    for leaves, colors in v:
-        owner_leaves, owner_colors = cover[min(leaves)]
-        if not (leaves <= owner_leaves and colors <= owner_colors):
-            return False
-    return True
+    return all(any(ls <= owner and cs <= owner_cs for owner, owner_cs in u) for ls, cs in v)
 
 
 def vertex_height(spec: AlgebraSpec, vertex: frozenset) -> tuple:
@@ -405,16 +403,56 @@ def vertex_c(spec: AlgebraSpec, vertex: frozenset) -> tuple:
     return vertex_height(spec, vertex)[:-1]
 
 
+def _order_masks(verts: list[frozenset], t: int) -> tuple[list[int], list[int]]:
+    """For each vertex of the t-link, the bitsets over ``verts`` of the
+    vertices coarser and finer than it, itself included: u <= v exactly
+    when, at every leaf position, v's block nests in u's.  A position holds
+    at most 33 distinct blocks at t = 6, nested as ``leaves | colours << t``."""
+    members: list[dict[tuple, int]] = [{} for _ in range(t)]
+    for i, v in enumerate(verts):
+        for block in v:
+            for p in block[0]:
+                members[p][block] = members[p].get(block, 0) | 1 << i
+    tables = []
+    for at_p in members:
+        coded = [(sum(1 << q for q in ls) | sum(1 << t + c for c in cs), mask)
+                 for (ls, cs), mask in at_p.items()]
+        table = {}
+        for block, (a, _) in zip(at_p, coded):
+            above = below = 0
+            for b, mask in coded:
+                if a & b == a:
+                    above |= mask
+                if a & b == b:
+                    below |= mask
+            table[block] = (above, below)
+        tables.append(table)
+    coarser, finer = [-1] * len(verts), [-1] * len(verts)
+    for i, v in enumerate(verts):
+        for block in v:
+            for p in block[0]:
+                above, below = tables[p][block]
+                coarser[i] &= above
+                finer[i] &= below
+    return coarser, finer
+
+
+def _order_complex(verts: list[frozenset], t: int) -> SimplicialComplex:
+    """The order complex of some vertices of the t-link: its simplices are
+    the chains of the refinement order."""
+    coarser, finer = _order_masks(verts, t)
+    return SimplicialComplex.flag(
+        verts, [(c | f) & ~(1 << i) for i, (c, f) in enumerate(zip(coarser, finer))]
+    )
+
+
 def descending_link(spec: AlgebraSpec, t: int, very: bool = False) -> SimplicialComplex:
     """The order complex of proper contraction patterns of a t-leaf basis.
 
     Every vertex B satisfies |B| < t; chains automatically have elementary
     endpoints since all vertices sit below the basis elementarily.
     """
-    verts = link_vertices(spec, t, very=very)
-    return SimplicialComplex.flag(
-        verts, lambda a, b: vertex_le(a, b) or vertex_le(b, a)
-    )
+    return _order_complex(link_vertices(spec, t, very=very), t)
 
 
 def very_elementary_link(spec: AlgebraSpec, t: int) -> SimplicialComplex:
@@ -468,42 +506,36 @@ def h_descending_link(spec: AlgebraSpec, t: int, vertex: frozenset) -> HLinkRepo
     downlink (coarser, equal c-vector) and uplink (finer, smaller c-vector);
     the whole link is their join."""
     verts = link_vertices(spec, t)
-    if vertex not in set(verts):
+    index = {v: i for i, v in enumerate(verts)}
+    if vertex not in index:
         raise ComplexError("vertex does not belong to the link")
+    i0 = index[vertex]
+    coarser, finer = (masks[i0] for masks in _order_masks(verts, t))
     h0 = vertex_height(spec, vertex)
     c0 = vertex_c(spec, vertex)
-    down = []
-    up = []
-    for v in verts:
-        if v == vertex:
+    down, up = [], 0
+    for i in _bits((coarser | finer) & ~(1 << i0)):
+        v = verts[i]
+        if vertex_height(spec, v) > h0:
             continue
-        hv = vertex_height(spec, v)
-        if hv > h0:
-            continue
-        if vertex_le(v, vertex):
+        if coarser >> i & 1:
             if vertex_c(spec, v) != c0:
                 raise ComplexError("coarser link vertex changed its c-vector")
             down.append(v)
-        elif vertex_le(vertex, v):
+        else:
             if not vertex_c(spec, v) < c0:
                 raise ComplexError("finer link vertex failed to drop c")
-            up.append(v)
-    comparable = lambda a, b: vertex_le(a, b) or vertex_le(b, a)
-    down_c = SimplicialComplex.flag(down, comparable)
-    up_c = SimplicialComplex.flag(up, comparable)
+            up |= 1 << i
+    down_c = _order_complex(down, t)
+    up_c = _order_complex([verts[i] for i in _bits(up)], t)
     witness = None
     case = classify_vertex(spec, vertex)
     if case == "i":
-        kept = next(
-            (leaves, cs) for leaves, cs in vertex if len(cs) == 1
-        )
-        blocks = [kept]
-        for leaves, cs in vertex:
-            if (leaves, cs) == kept:
-                continue
-            blocks.extend(((frozenset((p,)), frozenset()) for p in leaves))
-        witness = frozenset(blocks)
-        if witness not in set(up):
+        kept = next(block for block in vertex if len(block[1]) == 1)
+        witness = frozenset([kept] + [
+            (frozenset((p,)), frozenset()) for block in vertex if block != kept for p in block[0]
+        ])
+        if witness not in index or not up >> index[witness] & 1:
             raise ComplexError("case-i cone witness missing from the uplink")
     return HLinkReport(
         vertex=vertex,
@@ -531,9 +563,12 @@ def model_Kn(spec: AlgebraSpec, n: int) -> SimplicialComplex:
             continue
         for members in itertools.combinations(range(n), k):
             vertices.append((color, frozenset(members)))
-    return SimplicialComplex.flag(
-        vertices, lambda a, b: not (a[1] & b[1])
-    )
+    holding = _holding(members for _, members in vertices)
+    full = (1 << len(vertices)) - 1
+    # a vertex's neighbours avoid each of its points
+    return SimplicialComplex.flag(vertices, [
+        full & ~reduce(or_, (holding[x] for x in members)) for _, members in vertices
+    ])
 
 
 def l0_matches_model(spec: AlgebraSpec, t: int) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from cantorv.stein import (
     model_Kn,
     vertex_height,
     vertex_le,
+    very_elementary_link,
 )
 from cantorv.terms import Basis, enumerate_bases, expand, leq, elementary_leq
+from conftest import SPEC_SOURCES
 
 
 def _expand_all(basis, color):
@@ -385,6 +388,96 @@ def test_h_link_rejects_foreign_vertex(brin2v, stein23):
     )
     with pytest.raises(ComplexError):
         h_descending_link(brin2v, 4, v)
+
+
+# -- flag complexes against the pairwise construction -------------------------
+
+def _pairwise_flag(vertices, compatible):
+    """All cliques found by testing every pair of vertices: the construction
+    ``SimplicialComplex.flag`` had before it took neighbour bitsets."""
+    verts = list(vertices)
+    n = len(verts)
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if compatible(verts[i], verts[j]):
+                adj[i].add(j)
+                adj[j].add(i)
+    by_dim = {}
+    cliques = [(i,) for i in range(n)]
+    while cliques:
+        for c in cliques:
+            by_dim.setdefault(len(c) - 1, []).append(frozenset(verts[i] for i in c))
+        nxt = []
+        for c in cliques:
+            options = set(range(c[-1] + 1, n))
+            for i in c:
+                options &= adj[i]
+            nxt.extend(c + (j,) for j in sorted(options))
+        cliques = nxt
+    return SimplicialComplex(by_dim)
+
+
+def _comparable(a, b):
+    return vertex_le(a, b) or vertex_le(b, a)
+
+
+def _pairwise_model(spec, n):
+    vertices = [
+        (color, frozenset(members))
+        for color in range(spec.num_colors)
+        for members in itertools.combinations(range(n), spec.arity(color))
+    ]
+    return _pairwise_flag(vertices, lambda a, b: not (a[1] & b[1]))
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_links_match_pairwise_flag(specs, name):
+    spec = specs[name]
+    for t in range(1, 7 if name == "2v" else 6):
+        full = _pairwise_flag(link_vertices(spec, t), _comparable)
+        very = _pairwise_flag(link_vertices(spec, t, very=True), _comparable)
+        assert descending_link(spec, t).simplices == full.simplices
+        assert very_elementary_link(spec, t).simplices == very.simplices
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_model_and_subdivision_match_pairwise_flag(specs, name):
+    spec = specs[name]
+    ref = _pairwise_model(spec, 5)
+    model = model_Kn(spec, 5)
+    assert model.simplices == ref.simplices
+    faces = [s for ss in ref.simplices.values() for s in ss]
+    ref_sd = _pairwise_flag(faces, lambda a, b: a < b or b < a)
+    assert model.barycentric_subdivision().simplices == ref_sd.simplices
+    # faces listed from the top dimension down pair each face with its
+    # subsets before its supersets
+    top_down = SimplicialComplex(dict(reversed(model.simplices.items())))
+    assert top_down.barycentric_subdivision().simplices == ref_sd.simplices
+
+
+@pytest.mark.parametrize("name", ["2v", "mixed232"])
+def test_case_i_h_links_match_pairwise_flag(specs, name):
+    # stein23 has no case-i vertex at t = 6: its two-colour block fills all
+    # six leaves; mixed232 is the other bundled spec that has them
+    spec = specs[name]
+    verts = link_vertices(spec, 6)
+    case_i = [v for v in verts if classify_vertex(spec, v) == "i"]
+    assert case_i
+    for vertex in case_i:
+        h0 = vertex_height(spec, vertex)
+        below = [v for v in verts if v != vertex and vertex_height(spec, v) <= h0]
+        down = [v for v in below if vertex_le(v, vertex)]
+        up = [v for v in below if vertex_le(vertex, v) and not vertex_le(v, vertex)]
+        rep = h_descending_link(spec, 6, vertex)
+        assert rep.downlink.simplices == _pairwise_flag(down, _comparable).simplices
+        assert rep.uplink.simplices == _pairwise_flag(up, _comparable).simplices
+
+
+def test_2v_link_at_seven_leaves(brin2v):
+    cx = descending_link(brin2v, 7)
+    assert cx.f_vector() == {0: 1547, 1: 17220, 2: 36120, 3: 20160}
+    assert homology(cx).betti_gf2 == {0: 0, 1: 0, 2: 496, 3: 210}
 
 
 # -- isomorphism helper ---------------------------------------------------------

@@ -4,8 +4,8 @@
 call that a refactor inlines, renames or imports under another name stops
 recording spans and its per-layer metrics silently read 0.  This test
 installs the tracer as the benchmark does, runs a small mix of element,
-centraliser and cone operations, and checks that the spans the
-``words`` and ``symmetry`` metrics rest on all record calls.
+centraliser, cone and complex operations, and checks that the spans the
+``words``, ``symmetry`` and ``topology`` metrics rest on all record calls.
 """
 
 import importlib.util
@@ -14,6 +14,7 @@ import pathlib
 import cantorv.centralizer as Z
 import cantorv.cones as C
 import cantorv.elements as E
+import cantorv.stein as S
 from cantorv.terms import Basis, expand
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -31,6 +32,11 @@ EXPECTED_SPANS = [
     "centralizer.orbit_types",
     "centralizer.build_kernel_element",
     "centralizer.splitting_lift",
+    "stein.flag",
+    "stein.descending_link",
+    "stein.h_descending_link",
+    "stein.link_vertices",
+    "stein.model_Kn",
 ]
 
 
@@ -62,6 +68,10 @@ def _run_mix(spec):
     full = C.Cone.from_leaves(spec, x.cells)
     parts = C.disjointify(C.ConeTuple(spec, [left, full]))
     C.tuple_witness(parts, C.act_tuple(g, parts))
+
+    S.descending_link(spec, 4)
+    S.h_descending_link(spec, 4, S.link_vertices(spec, 4)[0])
+    S.l0_matches_model(spec, 4)
 
 
 def test_traced_spans_record_calls(v21):
