@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import algebra, centralizer, cones, elements, stein, terms
 from .algebra import AlgebraSpec, SpecError, parse_spec
@@ -19,19 +18,6 @@ from .terms import Basis, TermError
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class Session:
-    """A loaded spec plus named bindings for the objects of one invocation."""
-
-    spec: AlgebraSpec | None = None
-    bindings: dict[str, object] = field(default_factory=dict)
-
-    def bind(self, name: str, value: object) -> None:
-        if name in self.bindings:
-            raise UsageError(f"duplicate binding {name!r}")
-        self.bindings[name] = value
 
 
 def _cap(default: int | None = None) -> int | None:
@@ -58,43 +44,20 @@ def _emit(out: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _session(args) -> Session:
-    ses = Session()
-    if getattr(args, "spec", None):
-        ses.spec = _load_spec(args.spec)
-    return ses
+def _load_basis(spec: AlgebraSpec, path: str) -> Basis:
+    return terms.parse_basis_text(spec, _read(path))
 
 
-def _need_spec(ses: Session) -> AlgebraSpec:
-    if ses.spec is None:
-        raise UsageError("--spec is required for this subcommand")
-    return ses.spec
+def _load_elem(spec: AlgebraSpec, path: str):
+    return elements.parse_element_text(spec, _read(path))
 
 
-def _load_basis(ses: Session, path: str) -> Basis:
-    b = terms.parse_basis_text(_need_spec(ses), _read(path))
-    ses.bind(path, b)
-    return b
+def _load_cone(spec: AlgebraSpec, path: str):
+    return cones.parse_cone_text(spec, _read(path))
 
 
-def _load_elem(ses: Session, path: str):
-    g = elements.parse_element_text(_need_spec(ses), _read(path))
-    ses.bind(path, g)
-    return g
-
-
-def _load_cone(ses: Session, path: str):
-    c = cones.parse_cone_text(_need_spec(ses), _read(path))
-    ses.bind(path, c)
-    return c
-
-
-def _load_group(ses: Session, path: str):
-    q = elements.parse_group_text(
-        _need_spec(ses), _read(path), cap=_cap(4096)
-    )
-    ses.bind(path, q)
-    return q
+def _load_group(spec: AlgebraSpec, path: str):
+    return elements.parse_group_text(spec, _read(path), cap=_cap(4096))
 
 
 def _parse_ints(raw: str) -> list[int]:
@@ -125,24 +88,23 @@ def _cmd_spec_normalize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_basis_expand(args) -> int:
-    ses = _session(args)
-    b = _load_basis(ses, args.file)
+    spec = _load_spec(args.spec)
+    b = _load_basis(spec, args.file)
     leaf = b.cells[args.leaf]
     _emit(args.out, terms.basis_to_text(terms.expand(b, leaf, args.color)))
     return 0
 
 
 def _cmd_basis_contract(args) -> int:
-    ses = _session(args)
-    b = _load_basis(ses, args.file)
+    spec = _load_spec(args.spec)
+    b = _load_basis(spec, args.file)
     family = [b.cells[i] for i in _parse_ints(args.family)]
     _emit(args.out, terms.basis_to_text(terms.contract(b, family, args.color)))
     return 0
 
 
 def _cmd_basis_admissible(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     leaves = [
         terms.parse_leaf(spec, line)
         for line in _read(args.file).splitlines()
@@ -154,17 +116,17 @@ def _cmd_basis_admissible(args) -> int:
 
 
 def _cmd_basis_leq(args) -> int:
-    ses = _session(args)
-    a = _load_basis(ses, args.a)
-    b = _load_basis(ses, args.b)
+    spec = _load_spec(args.spec)
+    a = _load_basis(spec, args.a)
+    b = _load_basis(spec, args.b)
     print("true" if terms.leq(a, b) else "false")
     return 0
 
 
 def _binary_basis(args, op) -> int:
-    ses = _session(args)
-    a = _load_basis(ses, args.a)
-    b = _load_basis(ses, args.b)
+    spec = _load_spec(args.spec)
+    a = _load_basis(spec, args.a)
+    b = _load_basis(spec, args.b)
     _emit(args.out, terms.basis_to_text(op(a, b)))
     return 0
 
@@ -182,8 +144,7 @@ def _cmd_basis_core(args) -> int:
 
 
 def _cmd_basis_enumerate(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     bases = terms.enumerate_bases(spec, args.max_size, cap=_cap())
     chunks = [terms.basis_to_text(b) for b in bases]
     _emit(args.out, "\n".join(chunks))
@@ -196,62 +157,61 @@ def _cmd_basis_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_elem_mul(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
-    h = _load_elem(ses, args.h)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
+    h = _load_elem(spec, args.h)
     _emit(args.out, elements.element_to_text(elements.compose(g, h)))
     return 0
 
 
 def _cmd_elem_inv(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
     _emit(args.out, elements.element_to_text(elements.invert(g)))
     return 0
 
 
 def _cmd_elem_eq(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
-    h = _load_elem(ses, args.h)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
+    h = _load_elem(spec, args.h)
     print("true" if elements.equals(g, h) else "false")
     return 0
 
 
 def _cmd_elem_reduce(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
     _emit(args.out, elements.element_to_text(elements.reduce(g)))
     return 0
 
 
 def _cmd_elem_order(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
     print(elements.order_of(g, args.cap))
     return 0
 
 
 def _cmd_elem_random(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     g = elements.random_element(spec, args.size_bound, args.seed)
     _emit(args.out, elements.element_to_text(g))
     return 0
 
 
 def _cmd_elem_perm(args) -> int:
-    ses = _session(args)
-    b = _load_basis(ses, args.basis)
+    spec = _load_spec(args.spec)
+    b = _load_basis(spec, args.basis)
     g = elements.permutation_element(b, _parse_ints(args.perm))
     _emit(args.out, elements.element_to_text(g))
     return 0
 
 
 def _cmd_elem_represent_on(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.g)
-    y = _load_basis(ses, args.basis)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.g)
+    y = _load_basis(spec, args.basis)
     rep = elements.represent_on(g, y)
     if rep is None:
         print("NONE")
@@ -267,53 +227,52 @@ def _cmd_elem_represent_on(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_cone_eq(args) -> int:
-    ses = _session(args)
-    u = _load_cone(ses, args.u)
-    v = _load_cone(ses, args.v)
+    spec = _load_spec(args.spec)
+    u = _load_cone(spec, args.u)
+    v = _load_cone(spec, args.v)
     print("true" if cones.cone_equals(u, v) else "false")
     return 0
 
 
 def _cmd_cone_norm(args) -> int:
-    ses = _session(args)
-    u = _load_cone(ses, args.u)
+    spec = _load_spec(args.spec)
+    u = _load_cone(spec, args.u)
     print(cones.cone_norm(u))
     return 0
 
 
 def _cmd_cone_disjoint(args) -> int:
-    ses = _session(args)
-    u = _load_cone(ses, args.u)
-    v = _load_cone(ses, args.v)
+    spec = _load_spec(args.spec)
+    u = _load_cone(spec, args.u)
+    v = _load_cone(spec, args.v)
     print("true" if cones.cone_disjoint(u, v) else "false")
     return 0
 
 
 def _cmd_cone_act(args) -> int:
-    ses = _session(args)
-    g = _load_elem(ses, args.elem)
-    u = _load_cone(ses, args.u)
+    spec = _load_spec(args.spec)
+    g = _load_elem(spec, args.elem)
+    u = _load_cone(spec, args.u)
     _emit(args.out, cones.cone_to_text(cones.act(g, u)))
     return 0
 
 
-def _tuple_from(ses: Session, paths) -> cones.ConeTuple:
-    return cones.ConeTuple(_need_spec(ses), [_load_cone(ses, p) for p in paths])
+def _tuple_from(spec: AlgebraSpec, paths) -> cones.ConeTuple:
+    return cones.ConeTuple(spec, [_load_cone(spec, p) for p in paths])
 
 
 def _cmd_cone_classify(args) -> int:
-    ses = _session(args)
-    t = _tuple_from(ses, args.cones)
+    spec = _load_spec(args.spec)
+    t = _tuple_from(spec, args.cones)
     print(" ".join(str(n) for n in cones.tuple_classify(t)))
     print(f"stabilizer={cones.stabilizer_shape_report(t)}")
     return 0
 
 
 def _cmd_cone_witness(args) -> int:
-    ses = _session(args)
-    t1 = _tuple_from(ses, args.left)
-    ses2 = Session(spec=ses.spec)
-    t2 = _tuple_from(ses2, args.right)
+    spec = _load_spec(args.spec)
+    t1 = _tuple_from(spec, args.left)
+    t2 = _tuple_from(spec, args.right)
     g = cones.tuple_witness(t1, t2)
     if g is None:
         print("NONE")
@@ -323,8 +282,8 @@ def _cmd_cone_witness(args) -> int:
 
 
 def _cmd_cone_disjointify(args) -> int:
-    ses = _session(args)
-    t = _tuple_from(ses, args.cones)
+    spec = _load_spec(args.spec)
+    t = _tuple_from(spec, args.cones)
     parts = cones.disjointify(t)
     _emit(args.out, "--\n".join(cones.cone_to_text(c) for c in parts.cones))
     return 0
@@ -334,15 +293,15 @@ def _cmd_cone_disjointify(args) -> int:
 # centralizer / normalizer
 # ---------------------------------------------------------------------------
 
-def _report_for(ses: Session, group_path: str):
-    q = _load_group(ses, group_path)
+def _report_for(spec: AlgebraSpec, group_path: str):
+    q = _load_group(spec, group_path)
     y = centralizer.minimize_invariant_basis(centralizer.invariant_basis(q), q)
     return q, centralizer.orbit_types(y, q)
 
 
 def _cmd_centralizer_analyze(args) -> int:
-    ses = _session(args)
-    q = _load_group(ses, args.group)
+    spec = _load_spec(args.spec)
+    q = _load_group(spec, args.group)
     structure = centralizer.centralizer_structure(q, cap=args.cap)
     for line in structure.lines():
         print(line)
@@ -365,8 +324,8 @@ def _parse_kernel(spec_q, text: str):
 
 
 def _cmd_centralizer_build_kernel(args) -> int:
-    ses = _session(args)
-    q, report = _report_for(ses, args.group)
+    spec = _load_spec(args.spec)
+    q, report = _report_for(spec, args.group)
     tdata = report.types[args.type]
     qspec = centralizer.quotient_spec(q.spec, tdata.r)
     kern = _parse_kernel(qspec, _read(args.kernel))
@@ -376,8 +335,8 @@ def _cmd_centralizer_build_kernel(args) -> int:
 
 
 def _cmd_centralizer_lift(args) -> int:
-    ses = _session(args)
-    q, report = _report_for(ses, args.group)
+    spec = _load_spec(args.spec)
+    q, report = _report_for(spec, args.group)
     tdata = report.types[args.type]
     qspec = centralizer.quotient_spec(q.spec, tdata.r)
     v = elements.parse_element_text(qspec, _read(args.elem))
@@ -387,8 +346,8 @@ def _cmd_centralizer_lift(args) -> int:
 
 
 def _cmd_centralizer_encode(args) -> int:
-    ses = _session(args)
-    q, report = _report_for(ses, args.group)
+    spec = _load_spec(args.spec)
+    q, report = _report_for(spec, args.group)
     tdata = report.types[args.type]
     qspec = centralizer.quotient_spec(q.spec, tdata.r)
     kern = _parse_kernel(qspec, _read(args.kernel))
@@ -399,8 +358,8 @@ def _cmd_centralizer_encode(args) -> int:
 
 
 def _cmd_normalizer_analyze(args) -> int:
-    ses = _session(args)
-    q = _load_group(ses, args.group)
+    spec = _load_spec(args.spec)
+    q = _load_group(spec, args.group)
     rep = centralizer.normalizer_analysis(q, cap=args.cap)
     for line in rep.lines():
         print(line)
@@ -418,25 +377,23 @@ def _print_f_vector(cx) -> None:
 
 
 def _cmd_stein_build(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     cx = stein.build_stein(spec, args.size_cap, cap=_cap())
     _print_f_vector(cx)
     return 0
 
 
 def _cmd_stein_link(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     cx = stein.descending_link(spec, args.size, very=args.very)
     _print_f_vector(cx)
     return 0
 
 
 def _cmd_stein_heights(args) -> int:
-    ses = _session(args)
-    a = _load_basis(ses, args.a)
-    b = _load_basis(ses, args.b)
+    spec = _load_spec(args.spec)
+    a = _load_basis(spec, args.a)
+    b = _load_basis(spec, args.b)
     h = stein.height(a, b)
     print(" ".join(str(x) for x in h))
     return 0
@@ -451,8 +408,7 @@ def _link_complex(args, spec):
 
 
 def _cmd_stein_homology(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     cx = _link_complex(args, spec)
     rep = stein.homology(cx, rational=args.rational)
     print("dim\tbetti_gf2" + ("\tbetti_rational" if args.rational else ""))
@@ -466,8 +422,7 @@ def _cmd_stein_homology(args) -> int:
 
 
 def _cmd_stein_kn(args) -> int:
-    ses = _session(args)
-    spec = _need_spec(ses)
+    spec = _load_spec(args.spec)
     cx = stein.model_Kn(spec, args.n)
     _print_f_vector(cx)
     print(f"components\t{cx.connected_components()}")

@@ -240,24 +240,21 @@ def _support_count_on_grid(u: Cone) -> int:
     spec = u.spec
     count = 0
     for r in range(spec.roots):
-        group = [c for c in u.cells if c.root == r]
-        if not group:
-            continue
-        maxes = [0] * spec.num_colors
-        exps_by_cell = {}
-        root = root_leaf(spec, r)
-        for c in group:
-            e = relative_exponents(spec, root, c)
-            exps_by_cell[c] = e
-            maxes = [max(a, b) for a, b in zip(maxes, e)]
-        for c in group:
+        depths, exps = _grid_depths(spec, r, u.cells)
+        for e in exps:
             n = 1
-            for color, (e_grid, e_cell) in enumerate(
-                zip(maxes, exps_by_cell[c])
-            ):
+            for color, (e_grid, e_cell) in enumerate(zip(depths, e)):
                 n *= spec.arity(color) ** (e_grid - e_cell)
             count += n
     return count
+
+
+def _grid_depths(spec: AlgebraSpec, r: int, cells) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each colour's largest split count from root ``r`` over the given
+    cells of that root, and each such cell's own split counts."""
+    root = root_leaf(spec, r)
+    exps = [relative_exponents(spec, root, c) for c in cells if c.root == r]
+    return [max((e[k] for e in exps), default=0) for k in range(spec.num_colors)], exps
 
 
 def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
@@ -300,14 +297,8 @@ def _grid_basis(spec: AlgebraSpec, cells) -> Basis:
     """Per-root full grids fine enough that every given cell is a grid union."""
     out: list[Leaf] = []
     for r in range(spec.roots):
-        group = [c for c in cells if c.root == r]
-        maxes = [0] * spec.num_colors
-        root = root_leaf(spec, r)
-        for c in group:
-            e = relative_exponents(spec, root, c)
-            maxes = [max(a, b) for a, b in zip(maxes, e)]
-        grid = [root]
-        for color, depth in enumerate(maxes):
+        grid = [root_leaf(spec, r)]
+        for color, depth in enumerate(_grid_depths(spec, r, cells)[0]):
             for _ in range(depth):
                 grid = [child for g in grid for child in split_leaf(spec, g, color)]
         out.extend(grid)

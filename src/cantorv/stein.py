@@ -21,10 +21,9 @@ from .terms import (
     Basis,
     TermError,
     _single_splits,
+    _split_paths,
     elementary_leq,
     enumerate_bases,
-    find_ancestor,
-    relative_exponents,
 )
 
 
@@ -78,9 +77,6 @@ class SimplicialComplex:
             by_dim.setdefault(len(c) - 1, []).append(frozenset(vertices[i] for i in c))
             stack.extend((c + (j,), mask & upper[j]) for j in _bits(mask))
         return SimplicialComplex(by_dim)
-
-    def dimension(self) -> int:
-        return max(self.simplices, default=-1)
 
     def vertices(self) -> list:
         return [next(iter(s)) for s in self.simplices.get(0, [])]
@@ -294,8 +290,14 @@ def homology(
 # ---------------------------------------------------------------------------
 
 def build_stein(spec: AlgebraSpec, size_cap: int, cap: int | None = None) -> SimplicialComplex:
-    """Chains of expansions with an elementary bottom-to-top pair, over all
-    bases with at most ``size_cap`` leaves above the roots.
+    """The complex of bases over all bases with at most ``size_cap`` leaves
+    above the roots: chains of expansions with an elementary bottom-to-top
+    pair.
+
+    That is the flag complex of "comparable and elementary": split counts
+    add along a chain, so if q <= p <= l then exps(q->l) = exps(q->p) +
+    exps(p->l) with both terms >= 0, and every pair of a chain whose ends
+    are elementary is elementary too.
 
     Restricted to root-refining bases: the full poset of the algebra also
     has contraction-only vertices, which this window drops.
@@ -311,28 +313,10 @@ def build_stein(spec: AlgebraSpec, size_cap: int, cap: int | None = None) -> Sim
         for cells in _single_splits(bases[i], size_cap):
             j = index[cells]
             above[i] |= (1 << j) | above[j]
-    less = [[j for j in range(i + 1, n) if above[i] >> j & 1] for i in range(n)]
-    elem: dict[tuple[int, int], bool] = {}
-
-    def elementary(i: int, j: int) -> bool:
-        if (i, j) not in elem:
-            elem[(i, j)] = elementary_leq(bases[i], bases[j])
-        return elem[(i, j)]
-
-    by_dim: dict[int, list[frozenset]] = {0: [frozenset((b,)) for b in bases]}
-    chains = [(i,) for i in range(n)]
-    while chains:
-        nxt = []
-        for chain in chains:
-            for j in less[chain[-1]]:
-                if elementary(chain[0], j):
-                    new = chain + (j,)
-                    nxt.append(new)
-                    by_dim.setdefault(len(new) - 1, []).append(
-                        frozenset(bases[k] for k in new)
-                    )
-        chains = nxt
-    return SimplicialComplex(by_dim)
+    return SimplicialComplex.flag(bases, [
+        sum(1 << j for j in _bits(up) if elementary_leq(bases[i], bases[j]))
+        for i, up in enumerate(above)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +445,11 @@ def very_elementary_link(spec: AlgebraSpec, t: int) -> SimplicialComplex:
 
 def coarsening_vertex(spec: AlgebraSpec, a: Basis, b: Basis) -> frozenset:
     """The link vertex of an actual elementary coarsening b of a."""
-    if not elementary_leq(b, a):
-        raise TermError("not an elementary coarsening")
     blocks: dict[int, tuple[list[int], set[int]]] = {}
-    for pos, cell in enumerate(a.cells):
-        anc = find_ancestor(b, cell)
-        anc_pos = b.index_of(anc)
-        exps = relative_exponents(spec, anc, cell)
-        entry = blocks.setdefault(anc_pos, ([], set()))
+    for pos, (anc, exps) in enumerate(_split_paths(b, a)):
+        if max(exps) > 1:
+            raise TermError("not an elementary coarsening")
+        entry = blocks.setdefault(b.index_of(anc), ([], set()))
         entry[0].append(pos)
         entry[1].update(c for c, e in enumerate(exps) if e == 1)
     return frozenset(

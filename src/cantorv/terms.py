@@ -611,20 +611,26 @@ def lub(a: Basis, b: Basis) -> Basis:
 
 def lower_closure(b: Basis, cap: int | None = None) -> list[Basis]:
     """All bases C with roots <= C <= b, by contraction search from b."""
-    seen = {b.cellset(): b}
-    queue = deque([b])
+    return _search(b, _single_contractions, cap, "lower closure")
+
+
+def _search(start: Basis, moves, cap: int | None, what: str) -> list[Basis]:
+    """Every basis that ``moves`` reaches from ``start``, breadth first, in
+    canonical order.  ``moves(b)`` yields candidate cell sets; those that
+    are not admissible are dropped."""
+    spec = start.spec
+    seen = {start.cellset(): start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for color, fam, parent in sibling_families(cur.spec, cur.cells):
-            cells = frozenset(set(cur.cells) - set(fam) | {parent})
+        for cells in moves(queue.popleft()):
             if cells in seen:
                 continue
-            if not cells_admissible(cur.spec, cells):
+            cert = _certificate(spec, cells)
+            if cert is None:
                 continue
-            nxt = Basis.from_cells_trusted(cur.spec, cells)
-            seen[cells] = nxt
+            seen[cells] = nxt = Basis(spec, cells, cert)
             if cap is not None and len(seen) > cap:
-                raise ResourceCapError("lower closure exceeded cap")
+                raise ResourceCapError(f"{what} exceeded cap")
             queue.append(nxt)
     return _canonical_bases(seen.values())
 
@@ -651,23 +657,24 @@ def glb(a: Basis, b: Basis) -> Basis:
 
 
 def _split_paths(a: Basis, b: Basis):
-    """For a <= b, the per-colour split counts from each b-leaf's
-    ancestor in a, leaf by leaf."""
+    """For a <= b, each b-leaf's ancestor in a with the per-colour split
+    counts from it to the leaf, leaf by leaf."""
     _require_same_spec(a, b)
     if not leq(a, b):
         raise TermError("bases are not comparable")
     for cell in b.cells:
-        yield relative_exponents(a.spec, find_ancestor(a, cell), cell)
+        anc = find_ancestor(a, cell)
+        yield anc, relative_exponents(a.spec, anc, cell)
 
 
 def elementary_leq(a: Basis, b: Basis) -> bool:
     """a <= b with no colour repeated along any split path."""
-    return all(max(exps) <= 1 for exps in _split_paths(a, b))
+    return all(max(exps) <= 1 for _, exps in _split_paths(a, b))
 
 
 def very_elementary_leq(a: Basis, b: Basis) -> bool:
     """a <= b with every split path of length at most 1."""
-    return all(sum(exps) <= 1 for exps in _split_paths(a, b))
+    return all(sum(exps) <= 1 for _, exps in _split_paths(a, b))
 
 
 def max_elementary(a: Basis) -> Basis:
@@ -693,19 +700,9 @@ def enumerate_bases(spec: AlgebraSpec, max_size: int, cap: int | None = None) ->
     deduplicated, in canonical order (breadth-first over single splits)."""
     if max_size < spec.roots:
         raise TermError("max_size smaller than the root basis")
-    start = Basis.roots(spec)
-    seen = {start.cellset(): start}
-    queue = deque([start])
-    while queue:
-        for cells in _single_splits(queue.popleft(), max_size):
-            if cells in seen:
-                continue
-            nxt = Basis.from_cells_trusted(spec, cells)
-            seen[cells] = nxt
-            if cap is not None and len(seen) > cap:
-                raise ResourceCapError("basis enumeration exceeded cap")
-            queue.append(nxt)
-    return _canonical_bases(seen.values())
+    return _search(
+        Basis.roots(spec), lambda b: _single_splits(b, max_size), cap, "basis enumeration"
+    )
 
 
 def _single_splits(b: Basis, max_size: int):
@@ -719,6 +716,14 @@ def _single_splits(b: Basis, max_size: int):
         for color in range(spec.num_colors):
             if len(b) + spec.arity(color) - 1 <= max_size:
                 yield rest.union(split_leaf(spec, leaf, color))
+
+
+def _single_contractions(b: Basis):
+    """The cell sets one contraction of a sibling family of ``b`` gives;
+    some of them may not be admissible."""
+    cells = b.cellset()
+    for _, fam, parent in sibling_families(b.spec, b.cells):
+        yield cells.difference(fam) | {parent}
 
 
 # ---------------------------------------------------------------------------

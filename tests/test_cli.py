@@ -6,6 +6,7 @@ import pytest
 from cantorv.cli import run
 from cantorv.elements import (
     close_subgroup,
+    compose,
     element_to_text,
     equals,
     group_to_text,
@@ -145,6 +146,24 @@ def test_elem_pipeline(tmp_path, spec_file, v21):
          str(tmp_path / "gi.elem")]
     )
     assert out.strip() in {"true", "false"}
+
+
+def test_one_file_may_stand_for_two_arguments(tmp_path, spec_file, v21):
+    g = random_element(v21, 5, 3)
+    pg = tmp_path / "g.elem"
+    pg.write_text(element_to_text(g))
+    code, out = _capture(["elem", "mul", "--spec", spec_file, str(pg), str(pg)])
+    assert code == 0 and out == element_to_text(compose(g, g))
+    code, out = _capture(["elem", "eq", "--spec", spec_file, str(pg), str(pg)])
+    assert code == 0 and out.strip() == "true"
+    pa = tmp_path / "x.basis"
+    pa.write_text(basis_to_text(Basis.roots(v21)))
+    code, out = _capture(["basis", "leq", "--spec", spec_file, str(pa), str(pa)])
+    assert code == 0 and out.strip() == "true"
+    pu = tmp_path / "u.cone"
+    pu.write_text("root:0 [0/1,1/2)\n")
+    code, out = _capture(["cone", "eq", "--spec", spec_file, str(pu), str(pu)])
+    assert code == 0 and out.strip() == "true"
 
 
 def test_elem_random_deterministic(tmp_path, spec_file):

@@ -1,0 +1,29 @@
+"""Smoke tests for the scripts under ``scripts/``: each runs in its own
+interpreter, exits 0 and prints one line whose value is known."""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["survey_links.py", "--max-t", "5"], "2v\t5\t85\t0\t5\tTrue\tTrue"),
+        (["centralizer_demo.py"], "C = (K[trivial] x| V_1) x (K[regular] x| V_1)"),
+    ],
+    ids=["survey_links", "centralizer_demo"],
+)
+def test_script_runs(argv, line):
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert line in done.stdout.splitlines()

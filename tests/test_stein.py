@@ -244,6 +244,35 @@ def test_build_stein_edges_match_pairwise_scan(specs, name, cap, f):
     }
     assert set(cx.simplices[1]) == pairs
     assert cx.f_vector() == f
+    assert cx.simplices == _chain_stein(spec, cap).simplices
+
+
+def _chain_stein(spec, cap):
+    """The complex of bases grown chain by chain, each new top tested
+    against the chain's bottom: the construction ``build_stein`` had before
+    it handed elementary comparability to ``SimplicialComplex.flag``."""
+    bases = enumerate_bases(spec, cap)
+    n = len(bases)
+    less = [[j for j in range(i + 1, n) if leq(bases[i], bases[j])] for i in range(n)]
+    by_dim = {0: [frozenset((b,)) for b in bases]}
+    chains = [(i,) for i in range(n)]
+    while chains:
+        nxt = []
+        for chain in chains:
+            for j in less[chain[-1]]:
+                if elementary_leq(bases[chain[0]], bases[j]):
+                    nxt.append(chain + (j,))
+                    by_dim.setdefault(len(chain), []).append(
+                        frozenset(bases[k] for k in chain + (j,))
+                    )
+        chains = nxt
+    return SimplicialComplex(by_dim)
+
+
+@pytest.mark.parametrize("name", ["stein23", "brin23"])
+def test_build_stein_matches_chains_at_six_leaves(specs, name):
+    cx = build_stein(specs[name], 6)
+    assert cx.simplices == _chain_stein(specs[name], 6).simplices
 
 
 def test_simplex_order_is_by_vertex_reprs(v21, stein23):

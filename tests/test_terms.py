@@ -7,6 +7,7 @@ from cantorv.algebra import parse_spec
 from cantorv.terms import (
     Basis,
     Leaf,
+    ResourceCapError,
     TermError,
     basis_to_text,
     check_leaf,
@@ -408,6 +409,25 @@ def test_lower_closure_contains_interval(v21):
     four = _expand_all(halves(v21), 0)
     below = lower_closure(four)
     assert x in below and four in below and halves(v21) in below
+
+
+def test_enumeration_cap_is_exact(stein23):
+    bases = enumerate_bases(stein23, 5)
+    assert enumerate_bases(stein23, 5, cap=len(bases)) == bases
+    with pytest.raises(ResourceCapError):
+        enumerate_bases(stein23, 5, cap=len(bases) - 1)
+
+
+def test_lower_closure_is_the_interval_below(stein23, brin2v):
+    # some contractions of the sixths of stein23 are not admissible
+    sixths = _expand_all(halves(stein23), 1)
+    grid = _expand_all(halves(brin2v), 1)
+    for top in (sixths, grid):
+        below = lower_closure(top)
+        assert below == [c for c in enumerate_bases(top.spec, len(top)) if leq(c, top)]
+        assert lower_closure(top, cap=len(below)) == below
+        with pytest.raises(ResourceCapError):
+            lower_closure(top, cap=len(below) - 1)
 
 
 # -- partition exactness ------------------------------------------------------
