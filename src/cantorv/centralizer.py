@@ -29,11 +29,14 @@ from .terms import (
     Basis,
     Leaf,
     TermError,
+    _canonical_bases,
+    _certificate,
     expand,
     find_ancestor,
-    lower_closure,
     lub,
+    parent_of_family,
     root_leaf,
+    sibling_families,
     split_leaf,
     transport,
 )
@@ -149,14 +152,61 @@ def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
 
 
 def minimize_invariant_basis(y: Basis, q: FiniteSubgroup) -> Basis:
-    """Smallest invariant basis reachable from y by contractions
-    (exhaustive search below y; ties broken canonically).
+    """The least invariant basis below y, by size and then canonically.
 
-    ``lower_closure`` sorts by size, then canonically, so the first
-    invariant basis in it is the answer; y itself ends the list."""
+    Only orbit merges are searched: at an invariant basis, take a sibling
+    family, close it under q's permutations of the basis, and contract
+    the whole orbit at once.  This reaches every invariant basis below y.
+    Let Z < Y both be invariant and take a derivation of Y from Z.  Its
+    last split is a family F of Y-leaves, the children of a cell P inside
+    a Z-leaf z.  Each g in q carries z onto a Z-leaf by transport, so it
+    carries F onto the same-colour children of g(P), which are Y-leaves.
+    If g(P) meets P, then g(z) = z, g is the identity on z, and g(F) = F.
+    So the orbit of F is a set of disjoint same-colour families, at most
+    one in each Z-leaf, and contracting all of them gives an invariant
+    basis Y' with Z <= Y' < Y.  By induction on |Y| - |Z|, orbit merges
+    lead from y to Z.  Orbits that are not disjoint families are skipped,
+    and every contraction kept is certified and tested for invariance."""
     if not _is_invariant(q, y):
         raise TermError("basis is not invariant")
-    return next(cand for cand in lower_closure(y) if _is_invariant(q, cand))
+    spec = y.spec
+    seen = {y.cellset()}
+    found = [y]
+    stack = [y]
+    while stack:
+        b = stack.pop()
+        perms = [represent_on(g, b)[1] for g in q.generators]
+        for color, fam, _ in sibling_families(spec, b.cells):
+            start = frozenset(b.index_of(c) for c in fam)
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                s = frontier.pop()
+                for p in perms:
+                    image = frozenset(p[i] for i in s)
+                    if image not in orbit:
+                        orbit.add(image)
+                        frontier.append(image)
+            gone = frozenset().union(*orbit)
+            if len(gone) != len(fam) * len(orbit):
+                continue
+            parents = [
+                parent_of_family(spec, [b.cells[i] for i in s], color) for s in orbit
+            ]
+            if None in parents:
+                continue
+            cells = b.cellset().difference(b.cells[i] for i in gone).union(parents)
+            if cells in seen:
+                continue
+            seen.add(cells)
+            cert = _certificate(spec, cells)
+            if cert is None:
+                continue
+            cand = Basis(spec, cells, cert)
+            if _is_invariant(q, cand):
+                found.append(cand)
+                stack.append(cand)
+    return _canonical_bases(found)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +602,9 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
     normal: list[tuple[int, ...]] = []
     central: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
-        conj = {_perm_mul(_perm_mul(perm, s), _perm_inv(perm)) for s in image}
-        if conj == image:
+        # conjugation is injective, so conj(image) <= image means equality
+        inv = _perm_inv(perm)
+        if all(_perm_mul(_perm_mul(perm, s), inv) in image for s in image):
             normal.append(perm)
             if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image):
                 central.append(perm)

@@ -291,6 +291,8 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
 
     Deduplication uses identical reduced diagrams as a fast path and falls
     back to semantic equality, so it never assumes reduction is confluent.
+    The elements are sorted by domain size, then by the ``Leaf.key``
+    tuples of domain and range, then by permutation.
     """
     if cap < 1:
         raise TermError("cap must be at least 1")
@@ -323,7 +325,12 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
                         f"subgroup closure exceeded cap {cap}"
                     )
         frontier = nxt
-    elems.sort(key=lambda e: (len(e.domain), e.key()[0], e.key()[1], e.perm))
+    elems.sort(key=lambda e: (
+        len(e.domain),
+        tuple(c.key() for c in e.domain.cells),
+        tuple(c.key() for c in e.range.cells),
+        e.perm,
+    ))
     return FiniteSubgroup(spec, tuple(elems), tuple(gens))
 
 

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -31,6 +34,7 @@ from cantorv.elements import (
     equals,
     identity,
     invert,
+    parse_element_text,
     permutation_element,
     random_element,
     represent_on,
@@ -43,7 +47,10 @@ from cantorv.terms import (
     expand,
     lower_closure,
     max_elementary,
+    split_leaf,
 )
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _halves(spec):
@@ -535,6 +542,80 @@ def test_generators_decide_invariance(v21, v31):
             reps = [represent_on(g, cand) for g in q.elements]
             scan = all(rep is not None and rep[0] == cand for rep in reps)
             assert _is_invariant(q, cand) == scan
+
+
+def _minimize_by_scan(y, q):
+    """The exhaustive reference: the first invariant basis of the lower
+    closure of y, which lists bases by size and then canonically."""
+    return next(cand for cand in lower_closure(y) if _is_invariant(q, cand))
+
+
+def _blown_up(y):
+    """y with every leaf split once by the first colour; invariant when y
+    is, since the group acts on the leaves of y by transport."""
+    return Basis.from_cells(y.spec, [c for leaf in y for c in split_leaf(y.spec, leaf, 0)])
+
+
+def _normalizer_by_set_scan(q):
+    """(|N|, |C|) by the set-building scan ``normalizer_analysis`` used to
+    run: every conjugate of the image is built whole and compared."""
+    y = minimize_invariant_basis(invariant_basis(q), q)
+    report = orbit_types(y, q)
+    image = set(report.perms.values())
+    normal = central = 0
+    for perm in itertools.permutations(range(len(y))):
+        conj = {_perm_mul(_perm_mul(perm, s), _perm_inv(perm)) for s in image}
+        if conj == image:
+            normal += 1
+            central += all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image)
+    return normal, central
+
+
+@pytest.fixture(scope="module")
+def benchmark_subgroups():
+    """Every subgroup the symmetry benchmark builds, with its invariant
+    basis.  ``perfbench/workloads.py`` is loaded from its file, read only;
+    the subgroups are the same for every seed."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("oracle", "workloads"):
+            spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+            wl = importlib.util.module_from_spec(spec)
+            mp.setitem(sys.modules, name, wl)
+            spec.loader.exec_module(wl)
+    symmetry = wl.Symmetry()
+    out = []
+    for request in symmetry.setup(0).requests:
+        spec = parse_spec(wl.SPEC_SOURCES[request["spec"]])
+        gen = parse_element_text(spec, request["generator"])
+        q = close_subgroup([gen], symmetry.CLOSE_CAP)
+        out.append((q, invariant_basis(q)))
+    return out
+
+
+def test_minimize_matches_lower_closure_scan(v21, v31):
+    for q, y in _reference_groups(v21, v31):
+        for start in (y, _blown_up(y)):
+            assert minimize_invariant_basis(start, q).cells == _minimize_by_scan(start, q).cells
+
+
+def test_minimize_matches_scan_on_benchmark_subgroups(benchmark_subgroups):
+    # y is already minimal for every one of them, so the blow-ups small
+    # enough for the scan (251 of 336) are what exercise the merges
+    assert len(benchmark_subgroups) == 336
+    for q, y in benchmark_subgroups:
+        blown = _blown_up(y)
+        for start in (y, blown) if len(blown) <= 10 else (y,):
+            assert minimize_invariant_basis(start, q).cells == _minimize_by_scan(start, q).cells
+
+
+def test_normalizer_matches_set_scan(v21, v31, benchmark_subgroups):
+    groups = [q for q, _ in _reference_groups(v21, v31)]
+    groups += [
+        q for q, y in benchmark_subgroups if len(minimize_invariant_basis(y, q)) <= 7
+    ]
+    for q in groups:
+        rep = normalizer_analysis(q)
+        assert (rep.normalizer_order, rep.centralizer_order) == _normalizer_by_set_scan(q)
 
 
 # -- decomposition attempt ------------------------------------------------------

@@ -15,6 +15,7 @@ from cantorv.elements import (
     random_element,
 )
 from cantorv.terms import Basis, basis_to_text, expand, parse_basis_text
+from test_elements import FOUR_LEAF_CONJUGATE
 
 
 def _capture(argv):
@@ -271,6 +272,21 @@ def test_centralizer_cli(tmp_path, spec_file, v21):
          "--type", "regular", "--kernel", str(kern)]
     )
     assert code == 0 and out.count("--") == 1
+
+
+def test_centralizer_cli_on_a_conjugated_subgroup(tmp_path, spec_file):
+    grp = tmp_path / "g.grp"
+    grp.write_text(FOUR_LEAF_CONJUGATE)
+    code, out = _capture(
+        ["centralizer", "analyze", "--spec", spec_file, "--group", str(grp)]
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "t_realized=1",
+        "type=regular m=4 r=2 |L|=4 L=0,1,2,3 1,0,3,2 2,3,1,0 3,2,0,1",
+        "C = (K[regular] x| V_2)",
+        "note: raw orbit counts reported; counts mod d=1 lie in (0, d]",
+    ]
 
 
 def compose_check(a, b):

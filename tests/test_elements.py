@@ -23,6 +23,7 @@ from cantorv.elements import (
     reduce,
     represent_on,
 )
+from cantorv.centralizer import centralizer_structure
 from cantorv.terms import Basis, Leaf, TermError, expand, is_admissible, leq
 
 from fractions import Fraction as F
@@ -294,6 +295,37 @@ def test_close_subgroup_symmetric(v21):
 def test_close_subgroup_cap_exceeded(v21):
     with pytest.raises(CapExceededError):
         close_subgroup([_x0(v21)], 100)
+
+
+# A permutation of a four-leaf basis conjugated by a random element, as the
+# symmetry benchmark builds its subgroups.  Three of its elements share a
+# domain size but differ in a leaf, which a sort on the leaves themselves
+# cannot order.
+FOUR_LEAF_CONJUGATE = """\
+domain:
+E 0 0
+E 0 0
+E 0 0
+E 0 0
+E 2 0
+range:
+E 0 0
+E 0 0
+E 0 0
+E 1 0
+E 1 0
+perm: 5 4 3 0 2 1
+"""
+
+
+def test_close_subgroup_orders_elements_by_leaf_keys(v21):
+    q = close_subgroup([parse_element_text(v21, FOUR_LEAF_CONJUGATE)], 64)
+    keys = [
+        (len(g.domain), [c.key() for c in g.domain], [c.key() for c in g.range], g.perm)
+        for g in q
+    ]
+    assert len(q) == 4 and keys == sorted(keys)
+    assert centralizer_structure(q).statement() == "C = (K[regular] x| V_2)"
 
 
 def test_subgroup_closed(v21):

@@ -24,12 +24,15 @@ EXPECTED_SPANS = [
     "terms.basis_build",
     "terms.expand",
     "elements.reduce",
+    "elements.close_subgroup",
     "cones.witness_basis",
     "cones.disjointify",
     "elements.represent_on",
     "centralizer.invariant_basis",
     "centralizer.minimize_invariant_basis",
     "centralizer.orbit_types",
+    "centralizer.centralizer_structure",
+    "centralizer.normalizer_analysis",
     "centralizer.build_kernel_element",
     "centralizer.splitting_lift",
     "stein.flag",
@@ -57,6 +60,7 @@ def _run_mix(spec):
     halves = expand(x, x.cells[0], 0)
     q = E.close_subgroup([E.permutation_element(halves, [1, 0])], 8)
     report = Z.centralizer_structure(q).report
+    Z.normalizer_analysis(q)
     for tid, tdata in report.types.items():
         qspec = Z.quotient_spec(spec, tdata.r)
         roots = Basis.roots(qspec)
