@@ -20,10 +20,7 @@ from cantorv.centralizer import (
     build_kernel_element,
     centralizer_structure,
     decompose_fixing_element,
-    invariant_basis,
-    minimize_invariant_basis,
     normalizer_analysis,
-    orbit_types,
     quotient_spec,
     splitting_lift,
     type_centralizer_L,
@@ -34,16 +31,15 @@ from cantorv.terms import Basis, basis_to_text, expand
 
 def analyze(title, spec, q):
     print(f"== {title}")
-    y = minimize_invariant_basis(invariant_basis(q), q)
-    print("minimal invariant basis:")
-    print(basis_to_text(y), end="")
     structure = centralizer_structure(q)
+    report = structure.report
+    print("minimal invariant basis:")
+    print(basis_to_text(report.basis), end="")
     for line in structure.lines():
         print(line)
     nrep = normalizer_analysis(q)
     for line in nrep.lines():
         print(line)
-    report = orbit_types(y, q)
     rng = random.Random(0)
     for tid, tdata in report.types.items():
         L = type_centralizer_L(report, tid)

@@ -4,6 +4,7 @@ Pipeline: find a setwise-invariant basis, minimise it, split it into orbit
 types, and read off the centraliser's factors: for each realized type, a
 locally finite kernel of label maps glued along diagonal refinement, and a
 copy of the group over one root per orbit of that type, acting diagonally.
+``invariant_basis_report`` runs the first three steps once per subgroup.
 """
 
 from __future__ import annotations
@@ -140,15 +141,36 @@ def invariant_basis(q: FiniteSubgroup, max_iter: int = 64) -> Basis:
     raise IterationCapExceededError(f"no invariant basis within {max_iter} rounds")
 
 
-def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
-    """Whether every element of q carries each leaf of y onto a leaf of y
-    by transport.  Such maps are closed under products and inverses, so
-    the generators decide it for the whole group."""
+def _generator_perms(q: FiniteSubgroup, y: Basis) -> list[tuple[int, ...]] | None:
+    """The generators' permutations of y's leaves, or None unless every
+    element of q carries each leaf of y onto a leaf of y by transport.
+    Such maps are closed under products and inverses, so the generators
+    decide it for the whole group."""
+    perms = []
     for g in q.generators:
         rep = represent_on(g, y)
         if rep is None or rep[0] != y:
-            return False
-    return True
+            return None
+        perms.append(rep[1])
+    return perms
+
+
+def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
+    return _generator_perms(q, y) is not None
+
+
+def _orbit(start: frozenset, maps) -> set[frozenset]:
+    """The orbit of a set of positions under permutations of the positions."""
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        s = frontier.pop()
+        for p in maps:
+            image = frozenset(p[i] for i in s)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def minimize_invariant_basis(y: Basis, q: FiniteSubgroup) -> Basis:
@@ -167,26 +189,17 @@ def minimize_invariant_basis(y: Basis, q: FiniteSubgroup) -> Basis:
     basis Y' with Z <= Y' < Y.  By induction on |Y| - |Z|, orbit merges
     lead from y to Z.  Orbits that are not disjoint families are skipped,
     and every contraction kept is certified and tested for invariance."""
-    if not _is_invariant(q, y):
+    perms = _generator_perms(q, y)
+    if perms is None:
         raise TermError("basis is not invariant")
     spec = y.spec
     seen = {y.cellset()}
     found = [y]
-    stack = [y]
+    stack = [(y, perms)]
     while stack:
-        b = stack.pop()
-        perms = [represent_on(g, b)[1] for g in q.generators]
+        b, perms = stack.pop()
         for color, fam, _ in sibling_families(spec, b.cells):
-            start = frozenset(b.index_of(c) for c in fam)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                s = frontier.pop()
-                for p in perms:
-                    image = frozenset(p[i] for i in s)
-                    if image not in orbit:
-                        orbit.add(image)
-                        frontier.append(image)
+            orbit = _orbit(frozenset(b.index_of(c) for c in fam), perms)
             gone = frozenset().union(*orbit)
             if len(gone) != len(fam) * len(orbit):
                 continue
@@ -203,9 +216,10 @@ def minimize_invariant_basis(y: Basis, q: FiniteSubgroup) -> Basis:
             if cert is None:
                 continue
             cand = Basis(spec, cells, cert)
-            if _is_invariant(q, cand):
+            cand_perms = _generator_perms(q, cand)
+            if cand_perms is not None:
                 found.append(cand)
-                stack.append(cand)
+                stack.append((cand, cand_perms))
     return _canonical_bases(found)[0]
 
 
@@ -264,17 +278,7 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     for start in range(n):
         if start in seen:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for pos in frontier:
-                for p in perms.values():
-                    tgt = p[pos]
-                    if tgt not in orbit:
-                        orbit.add(tgt)
-                        nxt.append(tgt)
-            frontier = nxt
+        orbit = frozenset().union(*_orbit(frozenset((start,)), perms.values()))
         seen |= orbit
         indices = tuple(sorted(orbit))
         marked = indices[0]
@@ -282,12 +286,11 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
         orbits.append(OrbitData(indices=indices, marked=marked, stabilizer=stab))
 
     types: dict[str, TypeData] = {}
-    refs: list[tuple[OrbitData, int]] = []  # reference orbit, type counter
-    counter = 0
+    refs: list[OrbitData] = []  # the reference orbit of each type
     for oid, orb in enumerate(orbits):
         assigned = None
-        for ref, _ in refs:
-            g0 = group.subgroups_conjugate(orb.stabilizer, ref.stabilizer)
+        for ref in refs:
+            g0 = group.subgroups_conjugate(ref.stabilizer, orb.stabilizer)
             if g0 is not None:
                 assigned = ref
                 break
@@ -305,19 +308,16 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
             elif len(orb.stabilizer) == 1 and m == len(group):
                 tid = "regular"
             else:
-                tid = f"type{counter}"
-            counter += 1
+                tid = f"type{len(refs)}"
             orb.type_id = tid
             types[tid] = TypeData(type_id=tid, m=m, orbit_ids=(oid,), phi=phi)
-            refs.append((orb, counter))
+            refs.append(orb)
         else:
-            tid = assigned.type_id
-            orb.type_id = tid
-            tdata = types[tid]
+            orb.type_id = assigned.type_id
+            tdata = types[orb.type_id]
             # Transport the reference numbering through the equivariant
             # bijection sending marked -> g0(ref_marked), which exists since
             # stab(marked) = g0 stab(ref_marked) g0^-1.
-            g0 = group.subgroups_conjugate(assigned.stabilizer, orb.stabilizer)
             t = perms[g0][assigned.marked]
             numbering = [0] * tdata.m
             pos_to_letter_ref = {pos: k for k, pos in enumerate(assigned.numbering)}
@@ -325,12 +325,7 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
                 letter = pos_to_letter_ref[perms[gi][t]]
                 numbering[letter] = perms[gi][orb.marked]
             orb.numbering = tuple(numbering)
-            types[tid] = TypeData(
-                type_id=tid,
-                m=tdata.m,
-                orbit_ids=tdata.orbit_ids + (oid,),
-                phi=tdata.phi,
-            )
+            tdata.orbit_ids += (oid,)
     report = InvariantBasisReport(
         basis=y, group=group, perms=perms, orbits=orbits, types=types
     )
@@ -347,6 +342,15 @@ def _check_numbering(report: InvariantBasisReport) -> None:
             for k in range(tdata.m):
                 if p[orb.numbering[k]] != orb.numbering[phi[k]]:
                     raise TermError("orbit numbering fails equivariance")
+
+
+def invariant_basis_report(q: FiniteSubgroup) -> InvariantBasisReport:
+    """The orbit types of q on its minimal invariant basis, built on the
+    first call and kept on q, so every later caller shares it."""
+    if "report" not in q._cache:
+        y = minimize_invariant_basis(invariant_basis(q), q)
+        q._cache["report"] = orbit_types(y, q)
+    return q._cache["report"]
 
 
 def type_centralizer_L(
@@ -416,8 +420,7 @@ class CentralizerStructure:
 
 
 def centralizer_structure(q: FiniteSubgroup, cap: int = 8) -> CentralizerStructure:
-    y = minimize_invariant_basis(invariant_basis(q), q)
-    report = orbit_types(y, q)
+    report = invariant_basis_report(q)
     factors = [
         TypeFactor(
             type_id=tid,
@@ -593,11 +596,11 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
     """Weyl group data inside the setwise stabiliser of the minimal
     invariant basis: the full normaliser is the centraliser times this
     finite normaliser, so the Weyl group is computed here exactly."""
-    y = minimize_invariant_basis(invariant_basis(q), q)
+    report = invariant_basis_report(q)
+    y = report.basis
     n = len(y)
     if math.factorial(n) > cap:
         raise BruteForceCapError(f"|S(Y)| = {n}! exceeds cap {cap}")
-    report = orbit_types(y, q)
     image = {report.perms[gi] for gi in range(len(report.group))}
     normal: list[tuple[int, ...]] = []
     central: list[tuple[int, ...]] = []

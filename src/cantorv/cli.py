@@ -293,10 +293,13 @@ def _cmd_cone_disjointify(args) -> int:
 # centralizer / normalizer
 # ---------------------------------------------------------------------------
 
-def _report_for(spec: AlgebraSpec, group_path: str):
-    q = _load_group(spec, group_path)
-    y = centralizer.minimize_invariant_basis(centralizer.invariant_basis(q), q)
-    return q, centralizer.orbit_types(y, q)
+def _type_report(args):
+    """The group's invariant-basis report and the quotient spec of the
+    orbit type ``args.type``."""
+    q = _load_group(_load_spec(args.spec), args.group)
+    report = centralizer.invariant_basis_report(q)
+    tdata = report.types[args.type]
+    return report, centralizer.quotient_spec(q.spec, tdata.r)
 
 
 def _cmd_centralizer_analyze(args) -> int:
@@ -324,10 +327,7 @@ def _parse_kernel(spec_q, text: str):
 
 
 def _cmd_centralizer_build_kernel(args) -> int:
-    spec = _load_spec(args.spec)
-    q, report = _report_for(spec, args.group)
-    tdata = report.types[args.type]
-    qspec = centralizer.quotient_spec(q.spec, tdata.r)
+    report, qspec = _type_report(args)
     kern = _parse_kernel(qspec, _read(args.kernel))
     g = centralizer.build_kernel_element(report, args.type, kern)
     _emit(args.out, elements.element_to_text(g))
@@ -335,10 +335,7 @@ def _cmd_centralizer_build_kernel(args) -> int:
 
 
 def _cmd_centralizer_lift(args) -> int:
-    spec = _load_spec(args.spec)
-    q, report = _report_for(spec, args.group)
-    tdata = report.types[args.type]
-    qspec = centralizer.quotient_spec(q.spec, tdata.r)
+    report, qspec = _type_report(args)
     v = elements.parse_element_text(qspec, _read(args.elem))
     g = centralizer.splitting_lift(report, args.type, v)
     _emit(args.out, elements.element_to_text(g))
@@ -346,10 +343,7 @@ def _cmd_centralizer_lift(args) -> int:
 
 
 def _cmd_centralizer_encode(args) -> int:
-    spec = _load_spec(args.spec)
-    q, report = _report_for(spec, args.group)
-    tdata = report.types[args.type]
-    qspec = centralizer.quotient_spec(q.spec, tdata.r)
+    report, qspec = _type_report(args)
     kern = _parse_kernel(qspec, _read(args.kernel))
     letters = centralizer.type_centralizer_L(report, args.type, cap=args.cap)
     tup = centralizer.encode_kernel_element(kern, letters)

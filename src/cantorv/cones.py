@@ -207,9 +207,7 @@ def _same_spec(u: Cone, v: Cone) -> None:
 
 def cone_disjoint(u: Cone, v: Cone) -> bool:
     _same_spec(u, v)
-    return all(
-        _box_intersection_volume(a, b) == 0 for a in u.cells for b in v.cells
-    )
+    return not any(boxes_intersect(a, b) for a in u.cells for b in v.cells)
 
 
 def cone_intersection(u: Cone, v: Cone) -> Cone:

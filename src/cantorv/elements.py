@@ -9,7 +9,7 @@ right-to-left: (g * h)(u) = g(h(u)).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec
 from .terms import (
@@ -273,11 +273,16 @@ def random_element(spec: AlgebraSpec, size_bound: int, seed: int) -> Element:
 
 @dataclass(frozen=True)
 class FiniteSubgroup:
-    """A finite set of elements closed under composition and inverse."""
+    """A finite set of elements closed under composition and inverse.
+
+    ``_cache`` keeps what is derived from the subgroup once and shared by
+    its callers, such as its invariant-basis report in ``centralizer``.
+    """
 
     spec: AlgebraSpec
     elements: tuple[Element, ...]
     generators: tuple[Element, ...]
+    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __len__(self) -> int:
         return len(self.elements)

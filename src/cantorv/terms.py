@@ -281,16 +281,6 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
     return result
 
 
-def _replay_certificate(spec: AlgebraSpec, cuboid: Leaf, tree) -> frozenset:
-    if tree[0] == "leaf":
-        return frozenset((cuboid,))
-    _, color, subtrees = tree
-    out = set()
-    for part, sub in zip(split_leaf(spec, cuboid, color), subtrees):
-        out |= _replay_certificate(spec, part, sub)
-    return frozenset(out)
-
-
 def _certificate(spec: AlgebraSpec, cells) -> dict[int, tuple] | None:
     """The split tree of each root's cells in ``cells``, or None if some
     root's cells are not an admissible pattern."""
@@ -523,23 +513,30 @@ def leq(a: Basis, b: Basis) -> bool:
     pattern.  Mere cuboid refinement is not assumed sufficient.
     """
     _require_same_spec(a, b)
-    if a == b:
-        return True
+    return a == b or _split_walk(a, b) is not None
+
+
+def _split_walk(a: Basis, b: Basis) -> list[tuple[Leaf, tuple[int, ...]]] | None:
+    """Each b-leaf's ancestor in a with the per-colour split counts from
+    it to the leaf, leaf by leaf, or None unless a <= b."""
     if len(a) > len(b):
-        return False
+        return None
     spec = a.spec
     grouped: dict[Leaf, list[Leaf]] = {c: [] for c in a.cells}
+    paths = []
     for cell in b.cells:
         anc = find_ancestor(a, cell)
         if anc is None:
-            return False
-        if relative_exponents(spec, anc, cell) is None:
-            return False
+            return None
+        exps = relative_exponents(spec, anc, cell)
+        if exps is None:
+            return None
         grouped[anc].append(cell)
+        paths.append((anc, exps))
     for anc, cells in grouped.items():
         if _admissible_pattern(spec, anc, frozenset(cells)) is None:
-            return False
-    return True
+            return None
+    return paths
 
 
 def _first_colors(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset) -> dict:
@@ -656,15 +653,13 @@ def glb(a: Basis, b: Basis) -> Basis:
     return out
 
 
-def _split_paths(a: Basis, b: Basis):
-    """For a <= b, each b-leaf's ancestor in a with the per-colour split
-    counts from it to the leaf, leaf by leaf."""
+def _split_paths(a: Basis, b: Basis) -> list[tuple[Leaf, tuple[int, ...]]]:
+    """``_split_walk`` of a <= b; TermError if the bases are not comparable."""
     _require_same_spec(a, b)
-    if not leq(a, b):
+    paths = _split_walk(a, b)
+    if paths is None:
         raise TermError("bases are not comparable")
-    for cell in b.cells:
-        anc = find_ancestor(a, cell)
-        yield anc, relative_exponents(a.spec, anc, cell)
+    return paths
 
 
 def elementary_leq(a: Basis, b: Basis) -> bool:

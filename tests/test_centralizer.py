@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import cantorv.centralizer as Z
 from cantorv.centralizer import (
     BruteForceCapError,
     GroupData,
@@ -15,6 +16,7 @@ from cantorv.centralizer import (
     encode_kernel_element,
     expand_kernel,
     invariant_basis,
+    invariant_basis_report,
     kernel_action,
     kernel_equals,
     minimize_invariant_basis,
@@ -616,6 +618,36 @@ def test_normalizer_matches_set_scan(v21, v31, benchmark_subgroups):
     for q in groups:
         rep = normalizer_analysis(q)
         assert (rep.normalizer_order, rep.centralizer_order) == _normalizer_by_set_scan(q)
+        assert rep.basis is invariant_basis_report(q).basis
+
+
+# -- the shared invariant-basis report --------------------------------------------
+
+def test_normalizer_uses_the_structure_report(v21):
+    q = _sigma_group(v21)
+    assert normalizer_analysis(q).basis is centralizer_structure(q).report.basis
+
+
+def test_structure_and_normalizer_build_orbit_types_once(v21, monkeypatch):
+    calls = []
+    real = Z.orbit_types
+
+    def counted(y, q):
+        calls.append(q)
+        return real(y, q)
+
+    monkeypatch.setattr(Z, "orbit_types", counted)
+    q = _mixed_group(v21)
+    centralizer_structure(q)
+    normalizer_analysis(q)
+    assert calls == [q]
+
+
+def test_equal_subgroups_keep_their_own_report(v21):
+    a, b = _sigma_group(v21), _sigma_group(v21)
+    assert a == b and a is not b
+    assert invariant_basis_report(a) is invariant_basis_report(a)
+    assert invariant_basis_report(a) is not invariant_basis_report(b)
 
 
 # -- decomposition attempt ------------------------------------------------------
