@@ -1,9 +1,12 @@
 """Cones: descendant-closures of finite leaf sets, and tuples of them.
 
 A cone is determined by the point set covered by its support cuboids; two
-supports describe the same cone exactly when those unions coincide, so
-equality, disjointness and covering are decided by exact volume arithmetic.
-The group acts on cones by mapping supports through element diagrams.
+supports describe the same cone exactly when those unions coincide.  Equality,
+the covering and disjointness of tuples, and the complement of a witness basis
+come from one integer sweep that cuts each root cuboid at every interval end
+of the cells involved and records, per box, which cones cover it.  A cone's
+norm is its cell count mod d.  The group acts on cones by mapping supports
+through element diagrams.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ from .algebra import AlgebraSpec
 from .terms import (
     Basis,
     Leaf,
+    TermError,
     ZERO,
     _on_grid,
-    ONE,
     boxes_intersect,
     canonical_order,
-    cells_admissible,
     check_leaf,
     expand,
     leaf_contains,
@@ -48,15 +50,10 @@ def _contract_support(spec: AlgebraSpec, cells: set[Leaf]) -> tuple[Leaf, ...]:
     different representations of the same cone is tested, not assumed).
     """
     cells = set(cells)
-    changed = True
-    while changed:
-        changed = False
-        for color, fam, parent in sibling_families(spec, cells):
-            if set(fam) <= cells:
-                cells -= set(fam)
-                cells.add(parent)
-                changed = True
-                break
+    while families := sibling_families(spec, cells):
+        _, fam, parent = families[0]
+        cells -= set(fam)
+        cells.add(parent)
     return tuple(canonical_order(cells))
 
 
@@ -73,17 +70,6 @@ def _box_intersection(a: Leaf, b: Leaf) -> tuple | None:
             return None
         box.append((lo, hi, n * m))
     return tuple(box)
-
-
-def _box_intersection_volume(a: Leaf, b: Leaf) -> Fraction:
-    box = _box_intersection(a, b)
-    if box is None:
-        return ZERO
-    num = den = 1
-    for lo, hi, n in box:
-        num *= hi - lo
-        den *= n
-    return Fraction(num, den)
 
 
 def _refinement_size(spec: AlgebraSpec, block_index: int, denom: int) -> int:
@@ -189,15 +175,13 @@ class Cone:
 
 
 def cone_equals(u: Cone, v: Cone) -> bool:
-    """Same point set: mutual containment by exact volume accounting."""
+    """Same point set: no box of the sweep over both supports lies in
+    exactly one of them."""
     _same_spec(u, v)
-    vu, vv = u.volume(), v.volume()
-    if vu != vv:
-        return False
-    inter = sum(
-        (_box_intersection_volume(a, b) for a in u.cells for b in v.cells), ZERO
+    groups = [u.cells, v.cells]
+    return all(
+        mask in (0, 3) for r in range(u.spec.roots) for mask, _ in _sweep(u.spec, r, groups)
     )
-    return inter == vu
 
 
 def _same_spec(u: Cone, v: Cone) -> None:
@@ -224,35 +208,11 @@ def cone_intersection(u: Cone, v: Cone) -> Cone:
 
 def cone_norm(u: Cone) -> int:
     """0 for the empty cone, else the representative in (0, d] of the
-    support size on a witness basis, mod d."""
+    support size mod d."""
     if u.is_empty():
         return 0
-    spec = u.spec
-    d = spec.d
-    count = _support_count_on_grid(u)
-    return ((count - 1) % d) + 1
-
-
-def _support_count_on_grid(u: Cone) -> int:
-    """Size of the support re-expressed on a fine enough full grid basis."""
-    spec = u.spec
-    count = 0
-    for r in range(spec.roots):
-        depths, exps = _grid_depths(spec, r, u.cells)
-        for e in exps:
-            n = 1
-            for color, (e_grid, e_cell) in enumerate(zip(depths, e)):
-                n *= spec.arity(color) ** (e_grid - e_cell)
-            count += n
-    return count
-
-
-def _grid_depths(spec: AlgebraSpec, r: int, cells) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each colour's largest split count from root ``r`` over the given
-    cells of that root, and each such cell's own split counts."""
-    root = root_leaf(spec, r)
-    exps = [relative_exponents(spec, root, c) for c in cells if c.root == r]
-    return [max((e[k] for e in exps), default=0) for k in range(spec.num_colors)], exps
+    # a split by colour c adds arity(c) - 1 = 0 (mod d) cells to a support
+    return ((len(u.cells) - 1) % u.spec.d) + 1
 
 
 def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
@@ -262,25 +222,18 @@ def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
     decomposition of the complement; if that partition is not admissible,
     falls back to a per-root full grid.
     """
-    all_cells: list[tuple[int, Leaf]] = []
-    for i, cone in enumerate(cones):
-        for c in cone.cells:
-            all_cells.append((i, c))
-    cover_cells = [c for _, c in all_cells]
-    for a, b in itertools.combinations(cover_cells, 2):
-        if boxes_intersect(a, b):
-            raise ConeError("witness basis requires disjoint supports")
-    candidate: list[Leaf] = list(cover_cells)
+    groups = [cone.cells for cone in cones]
+    cover_cells = [c for group in groups for c in group]
+    candidate = list(cover_cells)
     for r in range(spec.roots):
-        group = [c for c in cover_cells if c.root == r]
-        missing = ONE - sum((c.volume() for c in group), ZERO)
-        if missing:
-            for mask, box in _sweep(spec, r, [group]):
-                if not mask:
-                    candidate.extend(_box_to_cells(spec, r, box))
-    if cells_admissible(spec, candidate):
+        for mask, box in _sweep(spec, r, groups):
+            if mask & (mask - 1):
+                raise ConeError("witness basis requires disjoint supports")
+            if not mask:
+                candidate.extend(_box_to_cells(spec, r, box))
+    try:
         basis = Basis.from_cells_trusted(spec, candidate)
-    else:
+    except TermError:
         basis = _grid_basis(spec, cover_cells)
     assignment: list[list[Leaf]] = [[] for _ in cones]
     for cell in basis.cells:
@@ -295,9 +248,11 @@ def _grid_basis(spec: AlgebraSpec, cells) -> Basis:
     """Per-root full grids fine enough that every given cell is a grid union."""
     out: list[Leaf] = []
     for r in range(spec.roots):
-        grid = [root_leaf(spec, r)]
-        for color, depth in enumerate(_grid_depths(spec, r, cells)[0]):
-            for _ in range(depth):
+        root = root_leaf(spec, r)
+        exps = [relative_exponents(spec, root, c) for c in cells if c.root == r]
+        grid = [root]
+        for color in range(spec.num_colors):
+            for _ in range(max((e[color] for e in exps), default=0)):
                 grid = [child for g in grid for child in split_leaf(spec, g, color)]
         out.extend(grid)
     return Basis.from_cells_trusted(spec, out)
@@ -334,19 +289,11 @@ class ConeTuple:
         for c in self.cones:
             if c.spec != spec:
                 raise ConeError("cone tuple mixes specs")
-        self.disjoint = all(
-            cone_disjoint(a, b)
-            for a, b in itertools.combinations(self.cones, 2)
-        )
-        self.covering = self._covering()
-
-    def _covering(self) -> bool:
-        if self.disjoint:
-            return sum((c.volume() for c in self.cones), ZERO) == self.spec.roots
         groups = [cone.cells for cone in self.cones]
-        return all(
-            mask for r in range(self.spec.roots) for mask, _ in _sweep(self.spec, r, groups)
-        )
+        masks = [mask for r in range(spec.roots) for mask, _ in _sweep(spec, r, groups)]
+        self.covering = all(masks)
+        # a cone's own cells are disjoint, so two bits mean two cones
+        self.disjoint = not any(mask & (mask - 1) for mask in masks)
 
     def __len__(self) -> int:
         return len(self.cones)

@@ -163,6 +163,8 @@ def reduce(g: Element) -> Element:
             mapping[parent] = img_parent
             changed = True
             break
+    if len(mapping) == len(g.domain):
+        return g
     return _from_mapping(spec, mapping)
 
 

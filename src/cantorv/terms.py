@@ -229,10 +229,6 @@ def transport(outer_from: Leaf, outer_to: Leaf, inner: Leaf) -> Leaf:
 # admissible patterns
 # ---------------------------------------------------------------------------
 
-def _cells_in(cells, outer: Leaf):
-    return frozenset(c for c in cells if leaf_contains(outer, c))
-
-
 def _split_assignment(spec: AlgebraSpec, cuboid: Leaf, cells, color: int):
     """The children of ``cuboid`` under ``color`` with the cells inside
     each, or None if some cell lies in no single child."""
@@ -584,11 +580,14 @@ def _lub_pattern(spec: AlgebraSpec, cuboid: Leaf, A: frozenset, B: frozenset) ->
     grid = frozenset(
         q for p in split_leaf(spec, cuboid, i) for q in split_leaf(spec, p, j)
     )
-    a2 = _lub_pattern(spec, cuboid, A, grid)
-    b2 = _lub_pattern(spec, cuboid, B, grid)
+    parts, subs_a = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, A, grid), i)
+    _, subs_b = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, B, grid), i)
     out = set()
-    for g in grid:
-        out |= _lub_pattern(spec, g, _cells_in(a2, g), _cells_in(b2, g))
+    for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
+        kids, in_a = _split_assignment(spec, part, sub_a, j)
+        _, in_b = _split_assignment(spec, part, sub_b, j)
+        for kid, kid_a, kid_b in zip(kids, in_a, in_b):
+            out |= _lub_pattern(spec, kid, frozenset(kid_a), frozenset(kid_b))
     return frozenset(out)
 
 

@@ -25,7 +25,16 @@ from cantorv.cones import (
     witness_basis,
 )
 from cantorv.elements import compose, identity, invert, permutation_element, random_element
-from cantorv.terms import Basis, Leaf, expand, enumerate_bases, root_leaf, split_leaf
+from cantorv.terms import (
+    Basis,
+    Leaf,
+    expand,
+    enumerate_bases,
+    lub,
+    relative_exponents,
+    root_leaf,
+    split_leaf,
+)
 
 
 def _halves(spec):
@@ -394,6 +403,160 @@ def test_break_grid_outside_the_arity_monoid():
     basis, parts = witness_basis(spec, [meet])
     assert len(basis) == 24
     assert [len(p) for p in parts] == [2]
+
+
+# -- the break-grid sweep against volume references -----------------------------
+
+def _ref_equals(u, v):
+    """Same point set by exact volume accounting: equal volumes, and the
+    pairwise cell overlaps add up to that volume."""
+
+    def overlap(a, b):
+        if a.root != b.root:
+            return F(0)
+        vol = F(1)
+        for (p, q), (r, s) in zip(a.intervals, b.intervals):
+            vol *= max(F(0), min(q, s) - max(p, r))
+        return vol
+
+    inter = sum((overlap(a, b) for a in u.cells for b in v.cells), F(0))
+    return u.volume() == v.volume() == inter
+
+
+def _uncovered(spec, cells):
+    """The boxes of the roots that no cell covers, by box subtraction."""
+    rest = [(r, ((F(0), F(1)),) * spec.num_blocks) for r in range(spec.roots)]
+    for c in cells:
+        nxt = []
+        for r, box in rest:
+            ivs = c.intervals
+            if r != c.root or any(q <= lo or hi <= p for (lo, hi), (p, q) in zip(box, ivs)):
+                nxt.append((r, box))
+                continue
+            core = list(box)
+            for k, ((lo, hi), (p, q)) in enumerate(zip(box, ivs)):
+                for piece in ((lo, p), (q, hi)):
+                    if piece[0] < piece[1]:
+                        nxt.append((r, tuple(core[:k]) + (piece,) + tuple(core[k + 1 :])))
+                core[k] = (max(lo, p), min(hi, q))
+        rest = nxt
+    return rest
+
+
+def _ref_flags(spec, cones):
+    """(covering, disjoint) from pairwise disjointness and, for a disjoint
+    tuple, the volume sum; otherwise from box subtraction."""
+    disjoint = all(cone_disjoint(a, b) for a, b in itertools.combinations(cones, 2))
+    if disjoint:
+        covering = sum((c.volume() for c in cones), F(0)) == spec.roots
+    else:
+        covering = not _uncovered(spec, [c for cone in cones for c in cone.cells])
+    return covering, disjoint
+
+
+def _ref_norm(u):
+    """The support size re-expanded on a full grid fine enough for every
+    cell, represented in (0, d]; 0 for the empty cone."""
+    spec = u.spec
+    if u.is_empty():
+        return 0
+    count = 0
+    for r in range(spec.roots):
+        root = root_leaf(spec, r)
+        exps = [relative_exponents(spec, root, c) for c in u.cells if c.root == r]
+        depths = [max((e[k] for e in exps), default=0) for k in range(spec.num_colors)]
+        for e in exps:
+            n = 1
+            for color, (e_grid, e_cell) in enumerate(zip(depths, e)):
+                n *= spec.arity(color) ** (e_grid - e_cell)
+            count += n
+    return ((count - 1) % spec.d) + 1
+
+
+def _sample_cones(spec, seed, count):
+    """Random cones, each from the cells of one or two bases (two bases give
+    overlapping ``from_leaves`` input), with empty cones among them."""
+    rng = random.Random(seed)
+    bases = enumerate_bases(spec, spec.roots + 5)
+    cones = [Cone.empty(spec)]
+    for _ in range(count):
+        cells = []
+        for _ in range(rng.choice((1, 1, 2))):
+            basis = bases[rng.randrange(len(bases))]
+            cells += [c for c in basis.cells if rng.random() < 0.5]
+        cones.append(Cone.from_leaves(spec, cells))
+    return cones
+
+
+def _sweep_specs(specs):
+    extra = ["roots=2; block[2,3]", "roots=1; block[4]"]
+    return list(specs.values()) + [parse_spec(src) for src in extra]
+
+
+def test_sweep_equality_and_norm_match_references(specs):
+    outcomes = set()
+    for spec in _sweep_specs(specs):
+        cones = _sample_cones(spec, 7, 16)
+        cones.append(_full(spec))
+        cones.append(Cone.from_leaves(spec, enumerate_bases(spec, spec.roots + 3)[-1].cells))
+        for u in cones:
+            assert cone_norm(u) == _ref_norm(u)
+        for u, v in itertools.product(cones, repeat=2):
+            expected = _ref_equals(u, v)
+            assert cone_equals(u, v) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_sweep_equality_across_grids(stein23):
+    h, thirds = _halves(stein23), expand(Basis.roots(stein23), root_leaf(stein23, 0), 1)
+    left = Cone.from_leaves(stein23, [h.cells[0]])
+    first = Cone.from_leaves(stein23, [thirds.cells[0]])
+    both = Cone.from_leaves(stein23, [h.cells[0], thirds.cells[0]])
+    sixths = lub(h, thirds)
+    left_sixths = Cone.from_leaves(stein23, [c for c in sixths.cells if c.intervals[0][1] <= F(1, 2)])
+    for u, v in itertools.product([left, first, both, left_sixths], repeat=2):
+        assert cone_equals(u, v) == _ref_equals(u, v)
+    assert cone_equals(left, both) and cone_equals(left, left_sixths)
+    assert not cone_equals(left, first)
+    assert _ref_flags(stein23, [left, first]) == (False, False)
+    t = ConeTuple(stein23, [first, left])
+    assert (t.covering, t.disjoint) == (False, False)
+
+
+def test_sweep_tuple_flags_match_references(specs):
+    outcomes = set()
+    for spec in _sweep_specs(specs):
+        cones = _sample_cones(spec, 11, 8)
+        rng = random.Random(5)
+        basis = enumerate_bases(spec, spec.roots + 3)[-1]
+        tuples = [[], [_full(spec)], [Cone.empty(spec), _full(spec)]]
+        for n in (2, 3):
+            part = _partition_tuple(spec, basis, n, n)
+            tuples.append(list(part.cones))
+            tuples.append(list(part.cones[1:]))
+        for _ in range(20):
+            tuples.append([rng.choice(cones) for _ in range(rng.randrange(1, 4))])
+        for cones_t in tuples:
+            t = ConeTuple(spec, cones_t)
+            expected = _ref_flags(spec, cones_t)
+            assert (t.covering, t.disjoint) == expected
+            outcomes.add(expected)
+            if t.disjoint:
+                _, parts = witness_basis(spec, cones_t)
+                for cone, part in zip(cones_t, parts):
+                    assert cone_equals(Cone.from_leaves(spec, part), cone)
+                    assert (len(part) - cone_norm(cone)) % spec.d == 0
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_witness_basis_rejects_overlapping_supports(specs):
+    for spec in specs.values():
+        h = _halves(spec)
+        left = Cone.from_leaves(spec, [h.cells[0]])
+        for cones in ([left, _full(spec)], [left, left]):
+            with pytest.raises(ConeError, match="disjoint supports"):
+                witness_basis(spec, cones)
 
 
 # -- serialisation ------------------------------------------------------------

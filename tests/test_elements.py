@@ -146,6 +146,7 @@ def test_reduce_is_fixpoint_and_preserves_value(specs):
             r = reduce(g)
             assert equals(r, g)
             assert reduce(r).key() == r.key()
+            assert reduce(r) is r
 
 
 def test_reduced_swap_stays_two_leaves(v21):

@@ -27,6 +27,10 @@ EXPECTED_SPANS = [
     "elements.close_subgroup",
     "cones.witness_basis",
     "cones.disjointify",
+    "cones.act",
+    "cones.act_tuple",
+    "cones.tuple_classify",
+    "cones.tuple_witness",
     "elements.represent_on",
     "centralizer.invariant_basis",
     "centralizer.minimize_invariant_basis",
