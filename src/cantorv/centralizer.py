@@ -593,9 +593,11 @@ class NormalizerReport:
 
 
 def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport:
-    """Weyl group data inside the setwise stabiliser of the minimal
-    invariant basis: the full normaliser is the centraliser times this
-    finite normaliser, so the Weyl group is computed here exactly."""
+    """Normaliser, centraliser and Weyl group of Q inside S(Y), the setwise
+    stabiliser of the minimal invariant basis Y.  The Weyl group of Q in V
+    can be larger: expanding a whole orbit changes the orbit-type counts,
+    so V may realise an automorphism of Q that swaps types whose counts
+    differ in Y."""
     report = invariant_basis_report(q)
     y = report.basis
     n = len(y)

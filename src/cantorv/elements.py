@@ -27,10 +27,14 @@ from .terms import (
     parse_script_text,
     relative_exponents,
     replay_script,
+    root_leaf,
     script_to_text,
     sibling_families,
     split_leaf,
     transport,
+    _clip,
+    _graft,
+    _tree_cells,
 )
 
 
@@ -107,19 +111,53 @@ def _same_spec(g: Element, h: Element) -> None:
         raise TermError("elements belong to different specs")
 
 
+def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
+    """The image basis g(b) for b >= g.domain, with each b-cell's image.
+
+    b's tree is clipped along the path of each domain leaf (colours the
+    path splits by are pushed into b's tree where b opens otherwise), and
+    the clipped subtrees are grafted onto the image leaves in g.range's
+    tree.  The clipped leaves refine b's cells, so they are b's cells
+    exactly when there are as many; else b does not refine g.domain and
+    this raises TermError.
+    """
+    spec = g.spec
+    clipped: dict[Leaf, tuple] = {}
+    roots = [root_leaf(spec, r) for r in range(spec.roots)]
+    for r, root in enumerate(roots):
+        _clip(spec, root, g.domain.trees[r], b.trees[r], clipped)
+    subs: dict[Leaf, tuple] = {}
+    cells: dict[Leaf, Leaf] = {}
+    for leaf, p in zip(g.domain.cells, g.perm):
+        target = g.range.cells[p]
+        subs[target] = sub = clipped[leaf]
+        before: list[Leaf] = []
+        after: list[Leaf] = []
+        _tree_cells(spec, leaf, sub, before)
+        _tree_cells(spec, target, sub, after)
+        cells.update(zip(before, after))
+    if len(cells) != len(b):
+        raise TermError("basis does not refine the element's domain")
+    trees = {r: _graft(spec, root, g.range.trees[r], subs) for r, root in enumerate(roots)}
+    return Basis(spec, cells.values(), trees=trees), cells
+
+
 def expand_diagram(g: Element, refined_domain: Basis) -> Element:
     """Rewrite g on a finer domain basis (refined_domain >= g.domain)."""
-    return _from_mapping(g.spec, {c: g.image_of_leaf(c) for c in refined_domain.cells})
+    image, to_image = _image(g, refined_domain)
+    perm = [image.index_of(to_image[c]) for c in refined_domain.cells]
+    return Element(g.spec, refined_domain, image, perm)
 
 
 def compose(g: Element, h: Element) -> Element:
-    """g * h, applying h first."""
+    """g * h, applying h first: h^-1 and g carry the common refinement of
+    h's range and g's domain to the two sides of the product."""
     _same_spec(g, h)
     mid = lub(h.range, g.domain)
-    h_inv = invert(h)
-    return reduce(
-        _from_mapping(g.spec, {h_inv.image_of_leaf(c): g.image_of_leaf(c) for c in mid.cells})
-    )
+    dom, to_dom = _image(invert(h), mid)
+    rng, to_rng = _image(g, mid)
+    pairs = {to_dom[c]: to_rng[c] for c in mid.cells}
+    return reduce(Element(g.spec, dom, rng, [rng.index_of(pairs[c]) for c in dom.cells]))
 
 
 def equals(g: Element, h: Element) -> bool:
@@ -193,7 +231,7 @@ def apply_to_basis(g: Element, b: Basis) -> Basis:
     """The image basis g(b); requires b to refine g's domain."""
     if not leq(g.domain, b):
         raise TermError("basis does not refine the element's domain")
-    return Basis.from_cells_trusted(g.spec, [g.image_of_leaf(c) for c in b.cells])
+    return _image(g, b)[0]
 
 
 def represent_on(g: Element, y: Basis):

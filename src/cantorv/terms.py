@@ -161,10 +161,13 @@ def split_leaf(spec: AlgebraSpec, leaf: Leaf, color: int) -> tuple[Leaf, ...]:
     bi, n = spec.colors[color]
     a, c, m = leaf.grid[bi]
     w = c - a
-    head, tail = leaf.grid[:bi], leaf.grid[bi + 1 :]
+    root, head, tail = leaf.root, leaf.grid[:bi], leaf.grid[bi + 1 :]
     lo, den = a * n, m * n
+    if w == 1:
+        # consecutive numerators are coprime: the children are in lowest terms
+        return tuple(_on_grid(root, head + ((x, x + 1, den),) + tail) for x in range(lo, lo + n))
     return tuple(
-        _on_grid(leaf.root, head + (_coord(lo + k * w, lo + (k + 1) * w, den),) + tail)
+        _on_grid(root, head + (_coord(lo + k * w, lo + (k + 1) * w, den),) + tail)
         for k in range(n)
     )
 
@@ -231,20 +234,21 @@ def transport(outer_from: Leaf, outer_to: Leaf, inner: Leaf) -> Leaf:
 
 def _split_assignment(spec: AlgebraSpec, cuboid: Leaf, cells, color: int):
     """The children of ``cuboid`` under ``color`` with the cells inside
-    each, or None if some cell lies in no single child."""
+    each, or None if some cell lies in no single child.  The cells must lie
+    inside ``cuboid``, so only the split block can cross a child boundary."""
     bi, n = spec.colors[color]
     a, c, m = cuboid.grid[bi]
-    parts = split_leaf(spec, cuboid, color)
-    assignment = [[] for _ in parts]
+    assignment = [[] for _ in range(n)]
     for cell in cells:
         # the child holding the cell's lower corner b/q is number
         # floor((b/q - a/m) / ((c - a)/(m n)))
-        b, _, q = cell.grid[bi]
+        b, d, q = cell.grid[bi]
         k = (b * m - a * q) * n // ((c - a) * q)
-        if not 0 <= k < n or not leaf_contains(parts[k], cell):
+        # child k ends at (a n + (k + 1)(c - a)) / (m n)
+        if d * m * n > (a * n + (k + 1) * (c - a)) * q:
             return None
         assignment[k].append(cell)
-    return parts, assignment
+    return split_leaf(spec, cuboid, color), assignment
 
 
 def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
@@ -257,7 +261,7 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
     if key in cache:
         return cache[key]
     if cells == frozenset((cuboid,)):
-        cache[key] = ("leaf",)
+        cache[key] = _LEAF
         return cache[key]
     result = None
     for color in range(spec.num_colors):
@@ -288,6 +292,94 @@ def _certificate(spec: AlgebraSpec, cells) -> dict[int, tuple] | None:
             return None
         cert[r] = tree
     return cert
+
+
+# ---------------------------------------------------------------------------
+# split trees
+# ---------------------------------------------------------------------------
+#
+# A split tree of a cuboid is ``("leaf",)`` or ``("split", colour, subtrees)``
+# with one subtree per child of the split, in child order.  A tree says
+# nothing about where its cuboid lies, so a subtree moves unchanged to any
+# cell of the same shape.
+
+_LEAF = ("leaf",)
+
+
+def _tree_cells(spec: AlgebraSpec, cuboid: Leaf, tree: tuple, out: list) -> None:
+    """Append the cells that ``tree`` splits ``cuboid`` into."""
+    if tree[0] == "leaf":
+        out.append(cuboid)
+        return
+    for part, sub in zip(split_leaf(spec, cuboid, tree[1]), tree[2]):
+        _tree_cells(spec, part, sub, out)
+
+
+def _graft(spec: AlgebraSpec, cuboid: Leaf, tree: tuple, subs: dict) -> tuple:
+    """``tree`` of ``cuboid`` with the leaf at each cell of ``subs`` replaced
+    by that cell's subtree."""
+    if tree[0] == "leaf":
+        return subs.get(cuboid, tree)
+    color = tree[1]
+    return ("split", color, tuple(
+        _graft(spec, part, sub, subs) for part, sub in zip(split_leaf(spec, cuboid, color), tree[2])
+    ))
+
+
+def _push(spec: AlgebraSpec, tree: tuple, color: int) -> tuple:
+    """A tree opening with ``color`` (j below) of the least refinement of
+    ``tree`` that splits its cuboid by j.
+
+    A leaf is split.  An inner node by another colour i pushes j into each
+    child, which gives the i-then-j double split with subtrees at its
+    cells, and then swaps the two levels: splits by distinct colours
+    commute, within one block by the order-preserving identification of
+    the n_i n_j cells and across blocks coordinate-wise."""
+    if tree[0] == "leaf":
+        return ("split", color, (_LEAF,) * spec.arity(color))
+    i = tree[1]
+    if i == color:
+        return tree
+    grand = [_push(spec, kid, color)[2] for kid in tree[2]]
+    bi, ni = spec.colors[i]
+    bj, nj = spec.colors[color]
+    if bi == bj:
+        # cell m of the block is (k, l) = divmod(m, n_j) of i-then-j and
+        # divmod(m, n_i) of j-then-i
+        return ("split", color, tuple(
+            ("split", i, tuple(grand[m // nj][m % nj] for m in range(l * ni, (l + 1) * ni)))
+            for l in range(nj)
+        ))
+    return ("split", color, tuple(
+        ("split", i, tuple(grand[k][l] for k in range(ni))) for l in range(nj)
+    ))
+
+
+def _merge(spec: AlgebraSpec, s: tuple, t: tuple) -> tuple:
+    """A split tree of the least common refinement of two trees of one
+    cuboid.  Where the roots split by different colours, ``t``'s colour is
+    pushed into ``s``; so every node of ``t`` is a node of the result."""
+    if s[0] == "leaf" or s is t:
+        return t
+    if t[0] == "leaf":
+        return s
+    color = t[1]
+    if s[1] != color:
+        s = _push(spec, s, color)
+    return ("split", color, tuple(_merge(spec, x, y) for x, y in zip(s[2], t[2])))
+
+
+def _clip(spec: AlgebraSpec, cuboid: Leaf, path: tuple, tree: tuple, out: dict) -> None:
+    """Map each leaf cell of ``path``, a tree of ``cuboid``, to the part of
+    ``tree`` below it; the colours ``path`` splits by are pushed into
+    ``tree`` where it opens otherwise."""
+    if path[0] == "leaf":
+        out[cuboid] = tree
+        return
+    color = path[1]
+    tree = _push(spec, tree, color)
+    for part, p, t in zip(split_leaf(spec, cuboid, color), path[2], tree[2]):
+        _clip(spec, part, p, t, out)
 
 
 def is_admissible(spec: AlgebraSpec, leaves) -> tuple[bool, dict | None]:
@@ -336,22 +428,50 @@ def boxes_intersect(a: Leaf, b: Leaf) -> bool:
 # ---------------------------------------------------------------------------
 
 class Basis:
-    """An admissible leaf set, stored in canonical order with a certificate."""
+    """An admissible leaf set, stored in canonical order, with a split tree
+    per root.
 
-    __slots__ = ("spec", "cells", "_cellset", "_index", "certificate", "_hash")
+    ``trees`` maps each root to a split tree that replays to the basis's
+    cells on that root.  ``expand``, ``lub`` and the images of bases under
+    elements carry the tree they built, which may differ from the canonical
+    one; every other constructor (``from_cells``, ``from_cells_trusted``,
+    ``roots`` and the bases of ``_search``: parsed bases, contractions,
+    reductions, enumerations and cones) takes the canonical tree, the
+    ``certificate``.  The certificate is a function of the cells alone and
+    is computed on first read when the basis was built from a carried tree.
+    """
 
-    def __init__(self, spec: AlgebraSpec, cells, certificate: dict):
+    __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_hash")
+
+    def __init__(self, spec: AlgebraSpec, cells, certificate: dict | None = None,
+                 trees: dict | None = None):
         self.spec = spec
         self.cells: tuple[Leaf, ...] = tuple(canonical_order(cells))
         self._cellset = frozenset(self.cells)
         self._index: dict[Leaf, int] | None = None
-        self.certificate = certificate
+        self._cert = certificate
+        self._trees = trees
         self._hash = hash(self._cellset)
         d = spec.d
         if (len(self.cells) - spec.roots) % d != 0:
             raise TermError(
                 f"basis size {len(self.cells)} violates size = roots mod {d}"
             )
+
+    @property
+    def certificate(self) -> dict:
+        """The canonical split tree of each root's cells."""
+        if self._cert is None:
+            self._cert = _certificate(self.spec, self.cells)
+        return self._cert
+
+    @property
+    def trees(self) -> dict:
+        """A split tree of each root's cells: the carried one, else the
+        certificate."""
+        if self._trees is None:
+            self._trees = self.certificate
+        return self._trees
 
     @staticmethod
     def from_cells(spec: AlgebraSpec, cells) -> "Basis":
@@ -362,7 +482,9 @@ class Basis:
 
     @staticmethod
     def from_cells_trusted(spec: AlgebraSpec, cells) -> "Basis":
-        """Internal fast path for cell sets produced by our own moves.
+        """Internal fast path for cell sets produced by our own moves, such
+        as contractions and cone witnesses; the basis derives its
+        certificate, and so its tree, from the cells.
 
         A successful pattern certificate already proves the partition
         property, so the quadratic disjointness pre-check is skipped.
@@ -376,7 +498,7 @@ class Basis:
     @staticmethod
     def roots(spec: AlgebraSpec) -> "Basis":
         cells = [root_leaf(spec, r) for r in range(spec.roots)]
-        return Basis(spec, cells, {r: ("leaf",) for r in range(spec.roots)})
+        return Basis(spec, cells, {r: _LEAF for r in range(spec.roots)})
 
     def cellset(self) -> frozenset:
         return self._cellset
@@ -419,15 +541,21 @@ def _require_same_spec(a: Basis, b: Basis) -> None:
 
 
 def expand(b: Basis, leaf: Leaf, color: int) -> Basis:
-    """Replace ``leaf`` by its ordered children under ``color``."""
+    """Replace ``leaf`` by its ordered children under ``color``; the split
+    is grafted onto ``b``'s tree."""
     if leaf not in b:
         raise TermError("leaf not in basis")
-    if not 0 <= color < b.spec.num_colors:
+    spec = b.spec
+    if not 0 <= color < spec.num_colors:
         raise TermError(f"invalid colour {color}")
     cells = set(b.cells)
     cells.remove(leaf)
-    cells.update(split_leaf(b.spec, leaf, color))
-    return Basis.from_cells_trusted(b.spec, cells)
+    cells.update(split_leaf(spec, leaf, color))
+    trees = dict(b.trees)
+    r = leaf.root
+    split = {leaf: ("split", color, (_LEAF,) * spec.arity(color))}
+    trees[r] = _graft(spec, root_leaf(spec, r), trees[r], split)
+    return Basis(spec, cells, trees=trees)
 
 
 def parent_of_family(spec: AlgebraSpec, family, color: int) -> Leaf | None:
@@ -535,74 +663,23 @@ def _split_walk(a: Basis, b: Basis) -> list[tuple[Leaf, tuple[int, ...]]] | None
     return paths
 
 
-def _first_colors(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset) -> dict:
-    """Colours that can open a derivation of ``cells`` from ``cuboid``,
-    each mapped to its parts and the cells inside each part."""
-    out = {}
-    for color in range(spec.num_colors):
-        split = _split_assignment(spec, cuboid, cells, color)
-        if split is None:
-            continue
-        parts, subs = split[0], [frozenset(sub) for sub in split[1]]
-        if all(_admissible_pattern(spec, p, sub) is not None for p, sub in zip(parts, subs)):
-            out[color] = (parts, subs)
-    return out
-
-
-def _lub_pattern(spec: AlgebraSpec, cuboid: Leaf, A: frozenset, B: frozenset) -> frozenset:
-    """Least common refinement of two admissible patterns of one cuboid.
-
-    If some colour opens derivations of both patterns, recurse into its
-    parts.  Otherwise pick opening colours i of A and j of B: any common
-    refinement splits the cuboid by i and by j, hence refines the i-then-j
-    double split G (splits by distinct colours commute, within a block by
-    the order-preserving identification and across blocks coordinate-wise),
-    so lub(A,B) = lub(lub(A,G), lub(B,G)) glued over the cells of G.
-    """
-    single = frozenset((cuboid,))
-    if A == single:
-        return B
-    if B == single:
-        return A
-    fsa = _first_colors(spec, cuboid, A)
-    fsb = _first_colors(spec, cuboid, B)
-    if not fsa or not fsb:
-        raise NotBoundedError("admissible pattern with no opening colour")
-    common = fsa.keys() & fsb.keys()
-    if common:
-        color = min(common)
-        (parts, subs_a), (_, subs_b) = fsa[color], fsb[color]
-        out: set[Leaf] = set()
-        for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
-            out |= _lub_pattern(spec, part, sub_a, sub_b)
-        return frozenset(out)
-    i, j = min(fsa), min(fsb)
-    grid = frozenset(
-        q for p in split_leaf(spec, cuboid, i) for q in split_leaf(spec, p, j)
-    )
-    parts, subs_a = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, A, grid), i)
-    _, subs_b = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, B, grid), i)
-    out = set()
-    for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
-        kids, in_a = _split_assignment(spec, part, sub_a, j)
-        _, in_b = _split_assignment(spec, part, sub_b, j)
-        for kid, kid_a, kid_b in zip(kids, in_a, in_b):
-            out |= _lub_pattern(spec, kid, frozenset(kid_a), frozenset(kid_b))
-    return frozenset(out)
-
-
 def lub(a: Basis, b: Basis) -> Basis:
-    """The least upper bound in the expansion order."""
+    """The least upper bound in the expansion order, read off the merge of
+    the two bases' split trees."""
     _require_same_spec(a, b)
     if a == b:
         return a
     spec = a.spec
-    cells: set[Leaf] = set()
-    for r in range(spec.roots):
-        ra = frozenset(c for c in a.cells if c.root == r)
-        rb = frozenset(c for c in b.cells if c.root == r)
-        cells |= _lub_pattern(spec, root_leaf(spec, r), ra, rb)
-    return Basis.from_cells_trusted(spec, cells)
+    ta, tb = a.trees, b.trees
+    trees = {r: _merge(spec, ta[r], tb[r]) for r in range(spec.roots)}
+    cells: list[Leaf] = []
+    for r, tree in trees.items():
+        _tree_cells(spec, root_leaf(spec, r), tree, cells)
+    # the lub refines a and b, so it is the one of them with as many cells
+    for x in (a, b):
+        if len(x) == len(cells):
+            return x
+    return Basis(spec, cells, trees=trees)
 
 
 def lower_closure(b: Basis, cap: int | None = None) -> list[Basis]:

@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
-from cantorv.terms import Basis, Leaf, enumerate_bases, expand
+from cantorv.terms import Basis, Leaf, enumerate_bases, expand, root_leaf, split_leaf
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -180,3 +180,25 @@ def reachable_from(basis: Basis, max_size: int) -> set[frozenset]:
                         nxt.append(child)
         frontier = nxt
     return seen
+
+
+def replay_trees(b: Basis) -> list[Leaf]:
+    """The cells that the basis's carried split trees give when replayed
+    by splits from the roots, in tree order."""
+    spec = b.spec
+    out: list[Leaf] = []
+
+    def walk(cuboid: Leaf, tree: tuple) -> None:
+        if tree == ("leaf",):
+            out.append(cuboid)
+            return
+        _, color, kids = tree
+        children = split_leaf(spec, cuboid, color)
+        assert len(kids) == len(children)
+        for child, kid in zip(children, kids):
+            walk(child, kid)
+
+    assert sorted(b.trees) == list(range(spec.roots))
+    for r in range(spec.roots):
+        walk(root_leaf(spec, r), b.trees[r])
+    return out

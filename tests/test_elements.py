@@ -7,6 +7,7 @@ from cantorv.elements import (
     Element,
     UNKNOWN,
     apply_to_basis,
+    expand_diagram,
     close_subgroup,
     compose,
     construct_from_images,
@@ -23,8 +24,11 @@ from cantorv.elements import (
     reduce,
     represent_on,
 )
+from cantorv.elements import _from_mapping, _image
 from cantorv.centralizer import centralizer_structure
-from cantorv.terms import Basis, Leaf, TermError, expand, is_admissible, leq
+from cantorv.terms import Basis, Leaf, TermError, expand, is_admissible, leq, lub
+
+from oracles import replay_trees
 
 from fractions import Fraction as F
 
@@ -383,3 +387,51 @@ def test_image_of_leaf_transport(v21):
     h = _halves(v21)
     quarter = Leaf(0, ((F(0), F(1, 4)),))
     assert sigma.image_of_leaf(quarter) == Leaf(0, ((F(1, 2), F(3, 4)),))
+
+
+# -- images of bases by clip-and-graft ----------------------------------------
+
+def _assert_trees_replay(b):
+    cells = replay_trees(b)
+    assert len(cells) == len(b) and set(cells) == b.cellset()
+
+
+def _leafwise_compose(g, h):
+    """Reference product: every cell of the common refinement mapped leaf
+    by leaf through both factors, the bases certified from the cells."""
+    mid = lub(h.range, g.domain)
+    h_inv = invert(h)
+    return reduce(_from_mapping(g.spec, {h_inv.image_of_leaf(c): g.image_of_leaf(c) for c in mid.cells}))
+
+
+def test_images_carry_trees_that_replay(specs):
+    for spec in specs.values():
+        for seed in range(6):
+            g = random_element(spec, spec.roots + 5, seed)
+            h = random_element(spec, spec.roots + 5, seed + 100)
+            product = compose(g, h)
+            assert product.key() == _leafwise_compose(g, h).key()
+            _assert_trees_replay(product.domain)
+            _assert_trees_replay(product.range)
+            mid = lub(h.range, g.domain)
+            image, to_image = _image(g, mid)
+            _assert_trees_replay(image)
+            assert set(to_image) == mid.cellset()
+            assert all(to_image[c] == g.image_of_leaf(c) for c in mid.cells)
+            applied = apply_to_basis(g, mid)
+            _assert_trees_replay(applied)
+            assert applied == image
+            rewritten = expand_diagram(g, mid)
+            _assert_trees_replay(rewritten.range)
+            assert rewritten.domain == mid and equals(rewritten, g)
+
+
+def test_image_requires_a_refinement_of_the_domain(v21, brin2v):
+    with pytest.raises(TermError):
+        _image(_sigma(v21), Basis.roots(v21))
+    x = Basis.roots(brin2v)
+    swap = permutation_element(expand(x, x.cells[0], 0), [1, 0])
+    with pytest.raises(TermError):
+        _image(swap, expand(x, x.cells[0], 1))
+    with pytest.raises(TermError):
+        expand_diagram(swap, expand(x, x.cells[0], 1))

@@ -32,8 +32,9 @@ from cantorv.terms import (
     transport,
     very_elementary_leq,
 )
+from cantorv.terms import _admissible_pattern, _split_assignment
 
-from oracles import enumerate_partitions, reachable_cellsets, reachable_from
+from oracles import enumerate_partitions, reachable_cellsets, reachable_from, replay_trees
 
 
 def _expand_all(basis, color):
@@ -284,6 +285,123 @@ def test_glb_of_halves_and_thirds_is_root(stein23):
 def test_glb_idempotent(v21):
     b = halves(v21)
     assert glb(b, b) == b
+
+
+# -- carried split trees and the tree-merge lub ------------------------------
+
+def _first_colors(spec, cuboid, cells):
+    """Colours that can open a derivation of ``cells`` from ``cuboid``,
+    each mapped to its parts and the cells inside each part."""
+    out = {}
+    for color in range(spec.num_colors):
+        split = _split_assignment(spec, cuboid, cells, color)
+        if split is None:
+            continue
+        parts, subs = split[0], [frozenset(sub) for sub in split[1]]
+        if all(_admissible_pattern(spec, p, sub) is not None for p, sub in zip(parts, subs)):
+            out[color] = (parts, subs)
+    return out
+
+
+def _lub_pattern(spec, cuboid, A, B):
+    """Set-based reference lub of two admissible patterns of one cuboid:
+    recurse into a common opening colour, else refine both through the
+    double split by the two opening colours."""
+    single = frozenset((cuboid,))
+    if A == single:
+        return B
+    if B == single:
+        return A
+    fsa = _first_colors(spec, cuboid, A)
+    fsb = _first_colors(spec, cuboid, B)
+    assert fsa and fsb
+    common = fsa.keys() & fsb.keys()
+    if common:
+        color = min(common)
+        (parts, subs_a), (_, subs_b) = fsa[color], fsb[color]
+        out = set()
+        for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
+            out |= _lub_pattern(spec, part, sub_a, sub_b)
+        return frozenset(out)
+    i, j = min(fsa), min(fsb)
+    grid = frozenset(q for p in split_leaf(spec, cuboid, i) for q in split_leaf(spec, p, j))
+    parts, subs_a = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, A, grid), i)
+    _, subs_b = _split_assignment(spec, cuboid, _lub_pattern(spec, cuboid, B, grid), i)
+    out = set()
+    for part, sub_a, sub_b in zip(parts, subs_a, subs_b):
+        kids, in_a = _split_assignment(spec, part, sub_a, j)
+        _, in_b = _split_assignment(spec, part, sub_b, j)
+        for kid, kid_a, kid_b in zip(kids, in_a, in_b):
+            out |= _lub_pattern(spec, kid, frozenset(kid_a), frozenset(kid_b))
+    return frozenset(out)
+
+
+def _reference_lub(a, b):
+    spec = a.spec
+    cells = set()
+    for r in range(spec.roots):
+        ra = frozenset(c for c in a.cells if c.root == r)
+        rb = frozenset(c for c in b.cells if c.root == r)
+        cells |= _lub_pattern(spec, root_leaf(spec, r), ra, rb)
+    return cells
+
+
+def _assert_trees_replay(b):
+    cells = replay_trees(b)
+    assert len(cells) == len(b) and set(cells) == b.cellset()
+
+
+def _random_basis(spec, rng, splits):
+    basis = Basis.roots(spec)
+    for _ in range(splits):
+        basis = expand(basis, basis.cells[rng.randrange(len(basis))], rng.randrange(spec.num_colors))
+    return basis
+
+
+@pytest.mark.parametrize(
+    "name", ["v21", "v31", "2v", "stein23", "brin23", "mixed232", "two_roots"]
+)
+def test_tree_merge_lub_matches_set_based_reference(specs, name):
+    import random as _random
+
+    spec = parse_spec("roots=2; block[2,3]") if name == "two_roots" else specs[name]
+    rng = _random.Random(name)
+    for k in range(64):
+        a = _random_basis(spec, rng, rng.randrange(7))
+        b = _random_basis(spec, rng, rng.randrange(7))
+        if k % 3 == 0:
+            # canonical trees, as bases built from bare cells carry
+            a = Basis.from_cells_trusted(spec, a.cells)
+        join = lub(a, b)
+        assert join.cellset() == _reference_lub(a, b)
+        assert lub(b, a) == join
+        for x in (a, b, join):
+            _assert_trees_replay(x)
+        assert replay_script(spec, expansion_script(join)) == join
+
+
+def test_carried_tree_differs_from_certificate_on_2v_grid(brin2v):
+    x = Basis.roots(brin2v)
+    grid = _expand_all(expand(x, x.cells[0], 1), 0)
+    assert len(grid) == 4
+    assert grid.trees[0][:2] == ("split", 1)
+    assert grid.certificate[0][:2] == ("split", 0)
+    _assert_trees_replay(grid)
+    assert expansion_script(grid) == [(0, 0), (0, 1), (2, 1)]
+    assert expansion_script(grid) == expansion_script(Basis.from_cells(brin2v, grid.cells))
+
+
+def test_split_assignment_rejects_a_cell_across_a_child_boundary(v21, stein23):
+    root = root_leaf(v21, 0)
+    middle = Leaf(0, ((F(1, 4), F(3, 4)),))
+    assert _split_assignment(v21, root, [middle], 0) is None
+    # [1/3, 2/3) starts in the first half of [0, 1) and ends in the second
+    third = split_leaf(stein23, root_leaf(stein23, 0), 1)[1]
+    assert _split_assignment(stein23, root_leaf(stein23, 0), [third], 0) is None
+    parts, assignment = _split_assignment(
+        stein23, root_leaf(stein23, 0), split_leaf(stein23, root_leaf(stein23, 0), 1), 1
+    )
+    assert [len(cells) for cells in assignment] == [1, 1, 1]
 
 
 # -- elementary structure ----------------------------------------------------
