@@ -600,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
 DOMAIN_ERRORS = (
     SpecError,
     TermError,
-    terms.NotBoundedError,
     terms.ResourceCapError,
     elements.CapExceededError,
     cones.ConeError,

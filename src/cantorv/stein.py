@@ -41,6 +41,11 @@ class SimplicialComplex:
     Simplices are kept sorted by the sorted reprs of their vertices.  Each
     vertex's repr is taken once and replaced by its rank among all of them
     (equal reprs share a rank), which orders simplices the same way.
+
+    The order follows reprs, not values: equal frozensets built in a
+    different insertion order can have different reprs, and then list
+    their simplices differently.  Code that builds link vertices inserts
+    their blocks by least leaf, as ``link_vertices`` does.
     """
 
     def __init__(self, simplices_by_dim: dict[int, list[frozenset]]):
@@ -337,24 +342,24 @@ def _block_sizes(spec: AlgebraSpec) -> dict[frozenset, int]:
     return out
 
 
-def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozenset]:
-    """All contraction patterns of a t-leaf basis: partitions of the leaf
-    positions into blocks, at least one of them coloured; ``very`` keeps
-    single-colour blocks only."""
-    sizes = _block_sizes(spec)
-    if very:
-        sizes = {cs: sz for cs, sz in sizes.items() if len(cs) == 1}
-    choices = sorted(sizes.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    out: list[frozenset] = []
+def _block_choices(spec: AlgebraSpec) -> list[tuple[frozenset, int]]:
+    """(colour set, leaf count) of every kind of block, the uncoloured
+    singleton first and then by number and value of colours."""
+    sizes = sorted(_block_sizes(spec).items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    return [(frozenset(), 1)] + sizes
+
+
+def _partitions(leaves: frozenset, choices) -> list[tuple]:
+    """The partitions of some leaf positions into blocks of the kinds in
+    ``choices``, each a tuple of (leaves, colours) blocks by least leaf."""
+    out: list[tuple] = []
 
     def rec(remaining: frozenset, blocks: tuple):
         if not remaining:
-            if any(cs for _, cs in blocks):
-                out.append(frozenset(blocks))
+            out.append(blocks)
             return
         least = min(remaining)
         rest = remaining - {least}
-        rec(rest, blocks + ((frozenset((least,)), frozenset()),))
         for colors, size in choices:
             if size - 1 > len(rest):
                 continue
@@ -362,7 +367,20 @@ def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozens
                 block = (frozenset((least,) + members), colors)
                 rec(rest - set(members), blocks + (block,))
 
-    rec(frozenset(range(t)), ())
+    rec(leaves, ())
+    return out
+
+
+def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozenset]:
+    """All contraction patterns of a t-leaf basis: partitions of the leaf
+    positions into blocks, at least one of them coloured; ``very`` keeps
+    single-colour blocks only."""
+    choices = [(cs, n) for cs, n in _block_choices(spec) if not very or len(cs) <= 1]
+    out = [
+        frozenset(blocks)
+        for blocks in _partitions(frozenset(range(t)), choices)
+        if any(cs for _, cs in blocks)
+    ]
     return sorted(out, key=lambda v: sorted((sorted(ls), sorted(cs)) for ls, cs in v))
 
 
@@ -482,33 +500,74 @@ def classify_vertex(spec: AlgebraSpec, vertex: frozenset) -> str:
     return "ii"
 
 
+def _groupings(items: list) -> list[list[list]]:
+    """The set partitions of a list, each a list of groups."""
+    if not items:
+        return [[]]
+    first, out = items[0], []
+    for rest in _groupings(items[1:]):
+        out.append([[first]] + rest)
+        out.extend(rest[:i] + [[first] + g] + rest[i + 1 :] for i, g in enumerate(rest))
+    return out
+
+
+def _by_least_leaf(blocks) -> frozenset:
+    """A vertex from its blocks, inserted as ``link_vertices`` inserts them
+    so that the vertex has the same repr."""
+    return frozenset(sorted(blocks, key=lambda block: min(block[0])))
+
+
+def _neighbourhood(spec: AlgebraSpec, t: int, vertex: frozenset):
+    """The link vertices coarser and finer than a vertex of the t-link,
+    itself excluded; ComplexError unless it is a vertex of that link."""
+    choices = _block_choices(spec)
+    kinds = dict(choices)
+    leaves = [p for ls, _ in vertex for p in ls]
+    if (
+        sorted(leaves) != list(range(t))
+        or any(kinds.get(cs) != len(ls) for ls, cs in vertex)
+        or not any(cs for _, cs in vertex)
+    ):
+        raise ComplexError("vertex does not belong to the link")
+    # coarser: merge each group of blocks into one block whose colours hold
+    # all of theirs
+    coarser = []
+    for groups in _groupings(list(vertex)):
+        merged = []
+        for group in groups:
+            ls = frozenset(sorted(p for b in group for p in b[0]))
+            cs = frozenset().union(*(b[1] for b in group))
+            merged.append([(ls, kind) for kind, n in choices if n == len(ls) and cs <= kind])
+        coarser.extend(_by_least_leaf(blocks) for blocks in itertools.product(*merged))
+    # finer: split each block into blocks with colours among its own
+    finer = []
+    for parts in itertools.product(*(
+        _partitions(ls, [(kind, n) for kind, n in choices if kind <= cs]) for ls, cs in vertex
+    )):
+        blocks = [block for part in parts for block in part]
+        if any(cs for _, cs in blocks):
+            finer.append(_by_least_leaf(blocks))
+    return [v for v in coarser if v != vertex], [v for v in finer if v != vertex]
+
+
 def h_descending_link(spec: AlgebraSpec, t: int, vertex: frozenset) -> HLinkReport:
     """Split the height-descending link of a vertex of the t-link into the
-    downlink (coarser, equal c-vector) and uplink (finer, smaller c-vector);
-    the whole link is their join."""
-    verts = link_vertices(spec, t)
-    index = {v: i for i, v in enumerate(verts)}
-    if vertex not in index:
-        raise ComplexError("vertex does not belong to the link")
-    i0 = index[vertex]
-    coarser, finer = (masks[i0] for masks in _order_masks(verts, t))
+    downlink (coarser, equal c-vector) and uplink (finer, smaller c-vector).
+
+    Both are built from the vertex's own coarsenings and refinements, not
+    from the whole t-link.  Every coarser vertex lies below every finer one
+    through the vertex itself, so the order complex of down and up together
+    is their join.
+    """
+    coarser, finer = _neighbourhood(spec, t, vertex)
     h0 = vertex_height(spec, vertex)
     c0 = vertex_c(spec, vertex)
-    down, up = [], 0
-    for i in _bits((coarser | finer) & ~(1 << i0)):
-        v = verts[i]
-        if vertex_height(spec, v) > h0:
-            continue
-        if coarser >> i & 1:
-            if vertex_c(spec, v) != c0:
-                raise ComplexError("coarser link vertex changed its c-vector")
-            down.append(v)
-        else:
-            if not vertex_c(spec, v) < c0:
-                raise ComplexError("finer link vertex failed to drop c")
-            up |= 1 << i
-    down_c = _order_complex(down, t)
-    up_c = _order_complex([verts[i] for i in _bits(up)], t)
+    down = [v for v in coarser if vertex_height(spec, v) <= h0]
+    up = [v for v in finer if vertex_height(spec, v) <= h0]
+    if any(vertex_c(spec, v) != c0 for v in down):
+        raise ComplexError("coarser link vertex changed its c-vector")
+    if not all(vertex_c(spec, v) < c0 for v in up):
+        raise ComplexError("finer link vertex failed to drop c")
     witness = None
     case = classify_vertex(spec, vertex)
     if case == "i":
@@ -516,14 +575,14 @@ def h_descending_link(spec: AlgebraSpec, t: int, vertex: frozenset) -> HLinkRepo
         witness = frozenset([kept] + [
             (frozenset((p,)), frozenset()) for block in vertex if block != kept for p in block[0]
         ])
-        if witness not in index or not up >> index[witness] & 1:
+        if witness not in up:
             raise ComplexError("case-i cone witness missing from the uplink")
     return HLinkReport(
         vertex=vertex,
         case=case,
-        downlink=down_c,
-        uplink=up_c,
-        complex=down_c.join(up_c),
+        downlink=_order_complex(down, t),
+        uplink=_order_complex(up, t),
+        complex=_order_complex(down + up, t),
         uplink_cone_witness=witness,
     )
 

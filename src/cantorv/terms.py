@@ -27,14 +27,6 @@ class TermError(ValueError):
     """Malformed leaves, non-partitions, or misused operations."""
 
 
-class NotBoundedError(RuntimeError):
-    """Soundness alarm: a join computation reached an impossible state.
-
-    Must never fire for the block-structured algebras this package builds;
-    if it does, the interval model of the algebra is broken.
-    """
-
-
 class ResourceCapError(RuntimeError):
     """An enumeration exceeded its configured cap."""
 

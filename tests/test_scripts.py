@@ -14,9 +14,11 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
     "argv, line",
     [
         (["survey_links.py", "--max-t", "5"], "2v\t5\t85\t0\t5\tTrue\tTrue"),
+        # t = 6 is the first with case-i vertices, so h-links get built
+        (["survey_links.py", "--max-t", "6"], "2v\t6\t375\t30\t15\tTrue\tTrue"),
         (["centralizer_demo.py"], "C = (K[trivial] x| V_1) x (K[regular] x| V_1)"),
     ],
-    ids=["survey_links", "centralizer_demo"],
+    ids=["survey_links", "survey_links_case_i", "centralizer_demo"],
 )
 def test_script_runs(argv, line):
     done = subprocess.run(

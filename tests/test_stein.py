@@ -503,6 +503,101 @@ def test_case_i_h_links_match_pairwise_flag(specs, name):
         assert rep.uplink.simplices == _pairwise_flag(up, _comparable).simplices
 
 
+# -- h-links against the whole-link construction ------------------------------
+
+def _whole_link_h_links(spec, t):
+    """``vertex -> (case, downlink, uplink, complex, witness)`` built from
+    the whole t-link: every link vertex, their order bitsets, and the join
+    of downlink and uplink; the construction ``h_descending_link`` had
+    before it enumerated only the vertex's own neighbourhood.  The link
+    and its bitsets are built once and shared by the returned function."""
+    verts = link_vertices(spec, t)
+    index = {v: i for i, v in enumerate(verts)}
+    masks = stein_module._order_masks(verts, t)
+
+    def h_link(vertex):
+        i0 = index[vertex]
+        coarser, finer = (m[i0] for m in masks)
+        h0 = vertex_height(spec, vertex)
+        down, up = [], []
+        for i in stein_module._bits((coarser | finer) & ~(1 << i0)):
+            if vertex_height(spec, verts[i]) <= h0:
+                (down if coarser >> i & 1 else up).append(verts[i])
+        down_c = stein_module._order_complex(down, t)
+        up_c = stein_module._order_complex(up, t)
+        witness = None
+        case = classify_vertex(spec, vertex)
+        if case == "i":
+            kept = next(block for block in vertex if len(block[1]) == 1)
+            witness = frozenset([kept] + [
+                (frozenset((p,)), frozenset())
+                for block in vertex if block != kept for p in block[0]
+            ])
+            assert witness in up
+        return case, down_c, up_c, down_c.join(up_c), witness
+
+    return h_link
+
+
+def _assert_h_link_matches(spec, t, vertex, reference):
+    case, down, up, whole, witness = reference(vertex)
+    rep = h_descending_link(spec, t, vertex)
+    assert rep.case == case
+    assert rep.uplink_cone_witness == witness
+    # ordered dicts: the same simplices in the same order
+    assert list(rep.downlink.simplices.items()) == list(down.simplices.items())
+    assert list(rep.uplink.simplices.items()) == list(up.simplices.items())
+    assert list(rep.complex.simplices.items()) == list(whole.simplices.items())
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_h_links_match_whole_link_construction(specs, name):
+    spec = specs[name]
+    for t in range(1, 7):
+        reference = _whole_link_h_links(spec, t)
+        for vertex in link_vertices(spec, t):
+            _assert_h_link_matches(spec, t, vertex, reference)
+
+
+def test_case_i_h_links_at_seven_leaves_match_whole_link(brin2v):
+    reference = _whole_link_h_links(brin2v, 7)
+    case_i = [v for v in link_vertices(brin2v, 7) if classify_vertex(brin2v, v) == "i"]
+    assert len(case_i) == 210
+    for vertex in case_i:
+        rep = _assert_h_link_matches(brin2v, 7, vertex, reference)
+        assert len(rep.uplink.vertices()) == 49
+
+
+def _vertex(*blocks):
+    return frozenset((frozenset(ls), frozenset(cs)) for ls, cs in blocks)
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        _vertex(((0, 1), (0,)), ((1, 2), (1,)), ((3,), ())),
+        _vertex(((0, 1), (0,)), ((2,), ())),
+        _vertex(((0, 1), (0,)), ((2, 3), ())),
+        _vertex(((0, 1, 2), (0,)), ((3,), ())),
+        _vertex(((0, 1), (2,)), ((2,), ()), ((3,), ())),
+        _vertex(((0,), ()), ((1,), ()), ((2,), ()), ((3,), ())),
+    ],
+    ids=[
+        "overlapping_blocks",
+        "missing_leaf",
+        "uncoloured_pair",
+        "coloured_block_of_wrong_size",
+        "colour_set_not_in_spec",
+        "no_coloured_block",
+    ],
+)
+def test_h_link_rejects_invalid_vertex(brin2v, vertex):
+    assert vertex not in link_vertices(brin2v, 4)
+    with pytest.raises(ComplexError, match="does not belong to the link"):
+        h_descending_link(brin2v, 4, vertex)
+
+
 def test_2v_link_at_seven_leaves(brin2v):
     cx = descending_link(brin2v, 7)
     assert cx.f_vector() == {0: 1547, 1: 17220, 2: 36120, 3: 20160}
