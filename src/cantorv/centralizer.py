@@ -19,6 +19,7 @@ from .elements import (
     Element,
     FiniteSubgroup,
     _from_mapping,
+    _image,
     apply_to_basis,
     compose,
     equals,
@@ -481,9 +482,8 @@ def kernel_equals(a: KernelElement, b: KernelElement) -> bool:
 def kernel_action(v: Element, k: KernelElement) -> KernelElement:
     """The quotient group acts by carrying labels along the diagram."""
     mid = lub(v.domain, k.basis)
-    expanded_labels = {cell: k.labels[find_ancestor(k.basis, cell)] for cell in mid.cells}
-    image = apply_to_basis(v, mid)
-    labels = {v.image_of_leaf(cell): lab for cell, lab in expanded_labels.items()}
+    image, to_image = _image(v, mid)
+    labels = {to_image[cell]: k.labels[find_ancestor(k.basis, cell)] for cell in mid.cells}
     return KernelElement(k.qspec, image, labels)
 
 

@@ -318,10 +318,14 @@ def _parse_kernel(spec_q, text: str):
         line = line.strip()
         if not line:
             continue
-        leaf_part, perm_part = line.split("->")
+        try:
+            leaf_part, perm_part = line.split("->")
+            label = tuple(_parse_ints(perm_part))
+        except ValueError:
+            raise TermError(f"bad kernel line: {line!r}") from None
         leaf = terms.parse_leaf(spec_q, leaf_part.strip())
         cells.append(leaf)
-        labels[leaf] = tuple(_parse_ints(perm_part))
+        labels[leaf] = label
     basis = Basis.from_cells(spec_q, cells)
     return centralizer.KernelElement(spec_q, basis, labels)
 

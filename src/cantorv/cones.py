@@ -35,7 +35,7 @@ from .terms import (
     sibling_families,
     split_leaf,
 )
-from .elements import Element, _from_mapping
+from .elements import Element, _cell_images, _from_mapping
 
 
 class ConeError(ValueError):
@@ -266,8 +266,9 @@ def act(g: Element, u: Cone) -> Cone:
         return u
     basis, assignment = witness_basis(u.spec, [u])
     mid = lub(basis, g.domain)
+    to_image = _cell_images(g, mid)[0]
     images = [
-        g.image_of_leaf(cell)
+        to_image[cell]
         for cell in mid.cells
         if any(leaf_contains(s, cell) for s in u.cells)
     ]

@@ -21,9 +21,7 @@ from .terms import (
     expand,
     expansion_script,
     find_ancestor,
-    leq,
     lub,
-    parent_of_family,
     parse_script_text,
     relative_exponents,
     replay_script,
@@ -34,6 +32,8 @@ from .terms import (
     transport,
     _clip,
     _graft,
+    _parent,
+    _require_same_spec,
     _tree_cells,
 )
 
@@ -78,7 +78,11 @@ class Element:
         return f"Element({len(self.domain)} leaves)"
 
     def image_of_leaf(self, leaf: Leaf) -> Leaf:
-        """Image of any cell lying under the domain basis."""
+        """Image of any cell lying under the domain basis.
+
+        This is the per-leaf query; library code maps a whole refinement of
+        the domain at once with ``_image`` (or ``_cell_images``).
+        """
         anc = find_ancestor(self.domain, leaf)
         if anc is None or relative_exponents(self.spec, anc, leaf) is None:
             raise TermError("cell does not lie under the domain basis")
@@ -111,21 +115,20 @@ def _same_spec(g: Element, h: Element) -> None:
         raise TermError("elements belong to different specs")
 
 
-def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
-    """The image basis g(b) for b >= g.domain, with each b-cell's image.
+def _cell_images(g: Element, b: Basis) -> tuple[dict[Leaf, Leaf], dict[Leaf, tuple]]:
+    """Each b-cell's image under g for b >= g.domain, with the subtree of b
+    to graft onto each image of a domain leaf.
 
     b's tree is clipped along the path of each domain leaf (colours the
-    path splits by are pushed into b's tree where b opens otherwise), and
-    the clipped subtrees are grafted onto the image leaves in g.range's
-    tree.  The clipped leaves refine b's cells, so they are b's cells
-    exactly when there are as many; else b does not refine g.domain and
-    this raises TermError.
+    path splits by are pushed into b's tree where b opens otherwise).  The
+    clipped leaves refine b's cells, so they are b's cells exactly when
+    there are as many; else b does not refine g.domain and this raises
+    TermError.
     """
     spec = g.spec
     clipped: dict[Leaf, tuple] = {}
-    roots = [root_leaf(spec, r) for r in range(spec.roots)]
-    for r, root in enumerate(roots):
-        _clip(spec, root, g.domain.trees[r], b.trees[r], clipped)
+    for r in range(spec.roots):
+        _clip(spec, root_leaf(spec, r), g.domain.trees[r], b.trees[r], clipped)
     subs: dict[Leaf, tuple] = {}
     cells: dict[Leaf, Leaf] = {}
     for leaf, p in zip(g.domain.cells, g.perm):
@@ -138,7 +141,16 @@ def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
         cells.update(zip(before, after))
     if len(cells) != len(b):
         raise TermError("basis does not refine the element's domain")
-    trees = {r: _graft(spec, root, g.range.trees[r], subs) for r, root in enumerate(roots)}
+    return cells, subs
+
+
+def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
+    """The image basis g(b) for b >= g.domain, with each b-cell's image:
+    the clipped subtrees of ``_cell_images`` grafted onto the image leaves
+    in g.range's tree."""
+    spec = g.spec
+    cells, subs = _cell_images(g, b)
+    trees = {r: _graft(spec, root_leaf(spec, r), g.range.trees[r], subs) for r in range(spec.roots)}
     return Basis(spec, cells.values(), trees=trees), cells
 
 
@@ -166,7 +178,7 @@ def equals(g: Element, h: Element) -> bool:
     if g.key() == h.key():
         return True
     common = lub(g.domain, h.domain)
-    return all(g.image_of_leaf(c) == h.image_of_leaf(c) for c in common.cells)
+    return _cell_images(g, common)[0] == _cell_images(h, common)[0]
 
 
 def reduce(g: Element) -> Element:
@@ -185,10 +197,8 @@ def reduce(g: Element) -> Element:
         changed = False
         for color, fam, parent in sibling_families(spec, mapping.keys()):
             images = [mapping[c] for c in fam]
-            img_parent = parent_of_family(spec, images, color)
-            if img_parent is None:
-                continue
-            if tuple(images) != split_leaf(spec, img_parent, color):
+            img_parent = _parent(spec, images[0], color)
+            if img_parent is None or tuple(images) != split_leaf(spec, img_parent, color):
                 continue
             new_dom = set(mapping) - set(fam) | {parent}
             new_rng = set(mapping.values()) - set(images) | {img_parent}
@@ -229,8 +239,7 @@ def permutation_element(b: Basis, perm) -> Element:
 
 def apply_to_basis(g: Element, b: Basis) -> Basis:
     """The image basis g(b); requires b to refine g's domain."""
-    if not leq(g.domain, b):
-        raise TermError("basis does not refine the element's domain")
+    _require_same_spec(g.domain, b)
     return _image(g, b)[0]
 
 
@@ -245,20 +254,20 @@ def represent_on(g: Element, y: Basis):
         raise TermError("element and basis belong to different specs")
     mid = lub(g.domain, y)
     spec = g.spec
+    images = _cell_images(g, mid)[0]
     under: dict[Leaf, list[Leaf]] = {cell: [] for cell in y.cells}
     for c in mid.cells:
         under[find_ancestor(y, c)].append(c)
     targets: list[Leaf] = []
     for cell, below in under.items():
         first = below[0]
-        img = g.image_of_leaf(first)
-        target = transport(first, img, cell)
+        target = transport(first, images[first], cell)
         try:
             check_leaf(spec, target)
         except TermError:
             return None
         for c in below:
-            if g.image_of_leaf(c) != transport(cell, target, c):
+            if images[c] != transport(cell, target, c):
                 return None
         targets.append(target)
     try:
@@ -407,7 +416,10 @@ def parse_element_text(spec: AlgebraSpec, text: str) -> Element:
         elif line == "range:":
             section = rng_lines
         elif line.startswith("perm:"):
-            perm = tuple(int(x) for x in line[5:].split())
+            try:
+                perm = tuple(int(x) for x in line[5:].split())
+            except ValueError:
+                raise TermError(f"bad perm line in element text: {line!r}") from None
             section = None
         elif section is not None:
             section.append(line)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 from .algebra import AlgebraSpec
@@ -487,8 +487,13 @@ class HLinkReport:
     case: str                      # "very-elementary", "i" or "ii"
     downlink: SimplicialComplex
     uplink: SimplicialComplex
-    complex: SimplicialComplex     # the join
     uplink_cone_witness: frozenset | None
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        """The whole h-link, the join of downlink and uplink, built on first
+        read."""
+        return self.downlink.join(self.uplink)
 
 
 def classify_vertex(spec: AlgebraSpec, vertex: frozenset) -> str:
@@ -557,7 +562,7 @@ def h_descending_link(spec: AlgebraSpec, t: int, vertex: frozenset) -> HLinkRepo
     Both are built from the vertex's own coarsenings and refinements, not
     from the whole t-link.  Every coarser vertex lies below every finer one
     through the vertex itself, so the order complex of down and up together
-    is their join.
+    is their join, which ``HLinkReport.complex`` builds when it is read.
     """
     coarser, finer = _neighbourhood(spec, t, vertex)
     h0 = vertex_height(spec, vertex)
@@ -582,7 +587,6 @@ def h_descending_link(spec: AlgebraSpec, t: int, vertex: frozenset) -> HLinkRepo
         case=case,
         downlink=_order_complex(down, t),
         uplink=_order_complex(up, t),
-        complex=_order_complex(down + up, t),
         uplink_cone_witness=witness,
     )
 

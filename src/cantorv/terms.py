@@ -248,6 +248,9 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
     else None.  Backtracking over the first split colour, memoised: a greedy
     single-choice split is not assumed sufficient.
     """
+    if not cells:
+        # every split tree has a leaf, so an empty group covers no cuboid
+        return None
     cache = spec.cache("patterns")
     key = (cuboid, cells)
     if key in cache:
@@ -550,23 +553,28 @@ def expand(b: Basis, leaf: Leaf, color: int) -> Basis:
     return Basis(spec, cells, trees=trees)
 
 
-def parent_of_family(spec: AlgebraSpec, family, color: int) -> Leaf | None:
-    """The parent leaf if ``family`` is a complete ordered sibling family
-    along ``color``, else None."""
+def _parent(spec: AlgebraSpec, child: Leaf, color: int) -> Leaf | None:
+    """The cell that one split by ``color`` has ``child`` as a child of, or
+    None if there is no such cell."""
     bi, n = spec.colors[color]
-    fam = list(family)
-    if len(fam) != n:
-        return None
-    first = fam[0]
     # a child [a/m, (a+1)/m) has the parent [(a//n)/(m/n), (a//n + 1)/(m/n))
-    a, c, m = first.grid[bi]
+    a, c, m = child.grid[bi]
     if c != a + 1 or m % n:
         return None
     coord = (a // n, a // n + 1, m // n)
     if not _valid_coord(spec, bi, coord):
         return None
-    parent = _on_grid(first.root, first.grid[:bi] + (coord,) + first.grid[bi + 1 :])
-    if set(fam) != set(split_leaf(spec, parent, color)):
+    return _on_grid(child.root, child.grid[:bi] + (coord,) + child.grid[bi + 1 :])
+
+
+def parent_of_family(spec: AlgebraSpec, family, color: int) -> Leaf | None:
+    """The parent leaf if ``family`` is a complete ordered sibling family
+    along ``color``, else None."""
+    fam = list(family)
+    if len(fam) != spec.arity(color):
+        return None
+    parent = _parent(spec, fam[0], color)
+    if parent is None or set(fam) != set(split_leaf(spec, parent, color)):
         return None
     return parent
 
@@ -599,8 +607,9 @@ def sibling_families(spec: AlgebraSpec, cells) -> list[tuple[int, tuple[Leaf, ..
                 key = (cell.root, cell.grid[:bi], cell.grid[bi + 1 :], a // n, m)
                 groups.setdefault(key, []).append(cell)
         for group in groups.values():
+            # n distinct cells under one key are all the children of one cell
             if len(group) == n:
-                parent = parent_of_family(spec, group, color)
+                parent = _parent(spec, group[0], color)
                 if parent is not None:
                     group.sort(key=lambda x: x.grid[bi][0])
                     out.append((color, tuple(group), parent))
@@ -615,6 +624,8 @@ def sibling_families(spec: AlgebraSpec, cells) -> list[tuple[int, tuple[Leaf, ..
 # ---------------------------------------------------------------------------
 
 def find_ancestor(a: Basis, leaf: Leaf) -> Leaf | None:
+    """The cell of ``a`` that contains ``leaf``, by a linear scan, or None.
+    Containment is as cuboids: the leaf need not be reachable from it."""
     for c in a.cells:
         if leaf_contains(c, leaf):
             return c
@@ -812,13 +823,19 @@ def parse_leaf(spec: AlgebraSpec, line: str) -> Leaf:
     parts = line.split()
     if not parts or not parts[0].startswith("root:"):
         raise TermError(f"bad leaf line: {line!r}")
-    root = int(parts[0][5:])
+    try:
+        root = int(parts[0][5:])
+    except ValueError:
+        raise TermError(f"bad leaf line: {line!r}") from None
     ivs = []
     for tok in parts[1:]:
         if not (tok.startswith("[") and tok.endswith(")")):
             raise TermError(f"bad interval token: {tok!r}")
-        lo_s, hi_s = tok[1:-1].split(",")
-        ivs.append((Fraction(lo_s), Fraction(hi_s)))
+        try:
+            lo_s, hi_s = tok[1:-1].split(",")
+            ivs.append((Fraction(lo_s), Fraction(hi_s)))
+        except (ValueError, ZeroDivisionError):
+            raise TermError(f"bad interval token: {tok!r}") from None
     leaf = Leaf(root, tuple(ivs))
     check_leaf(spec, leaf)
     return leaf
@@ -875,5 +892,8 @@ def parse_script_text(text: str) -> list[tuple[int, int]]:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "E":
             raise TermError(f"bad script line: {line!r}")
-        out.append((int(parts[1]), int(parts[2])))
+        try:
+            out.append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise TermError(f"bad script line: {line!r}") from None
     return out

@@ -47,7 +47,9 @@ from cantorv.terms import (
     TermError,
     enumerate_bases,
     expand,
+    find_ancestor,
     lower_closure,
+    lub,
     max_elementary,
     split_leaf,
 )
@@ -275,6 +277,26 @@ def test_kernel_elements_commute_with_group(v21):
         x = build_kernel_element(rep, "regular", KernelElement(qs, fine, labels))
         for g in q:
             assert equals(compose(x, g), compose(g, x))
+
+
+def _leafwise_kernel_action(v, k):
+    """Reference ``kernel_action``: each cell of the common refinement
+    carried leaf by leaf with its label, the image basis certified from the
+    image cells."""
+    mid = lub(v.domain, k.basis)
+    labels = {v.image_of_leaf(c): k.labels[find_ancestor(k.basis, c)] for c in mid.cells}
+    return KernelElement(k.qspec, Basis.from_cells(k.qspec, labels), labels)
+
+
+def test_kernel_action_matches_leafwise_reference(specs):
+    for spec in specs.values():
+        for seed in range(6):
+            rng = random.Random(seed)
+            v = random_element(spec, spec.roots + 5, seed)
+            basis = random_element(spec, spec.roots + 4, seed + 30).domain
+            k = KernelElement(spec, basis, {c: tuple(rng.sample(range(3), 3)) for c in basis.cells})
+            got, ref = kernel_action(v, k), _leafwise_kernel_action(v, k)
+            assert got.basis == ref.basis and got.labels == ref.labels
 
 
 def test_kernel_diagonal_expansion_is_equal(v21):

@@ -344,3 +344,57 @@ def test_stein_heights_cli(tmp_path, data_dir, brin2v):
 def test_missing_file_is_domain_error(spec_file):
     code, _ = _capture(["basis", "leq", "--spec", spec_file, "/nope/a", "/nope/b"])
     assert code == 1
+
+
+# -- malformed numbers in file text ------------------------------------------
+
+def _assert_domain_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code == 1
+    assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+@pytest.mark.parametrize("line", [
+    "root:x [0/1,1/1)",
+    "root:0 [a,1)",
+    "root:0 [0/1)",
+    "root:0 [0/1,1/0)",
+])
+def test_malformed_leaf_numbers_are_domain_errors(tmp_path, spec_file, line):
+    bad = tmp_path / "bad.basis"
+    bad.write_text(line + "\n")
+    _assert_domain_error(["basis", "admissible", "--spec", spec_file, str(bad)])
+    cone = tmp_path / "bad.cone"
+    cone.write_text(line + "\n")
+    _assert_domain_error(["cone", "norm", "--spec", spec_file, str(cone)])
+
+
+@pytest.mark.parametrize("text", [
+    "domain:\nE zero 0\nrange:\nperm: 0\n",
+    "domain:\nrange:\nperm: x\n",
+])
+def test_malformed_element_numbers_are_domain_errors(tmp_path, spec_file, text):
+    bad = tmp_path / "bad.elem"
+    bad.write_text(text)
+    _assert_domain_error(["elem", "reduce", "--spec", spec_file, str(bad)])
+
+
+@pytest.mark.parametrize("text", [
+    "root:0 [0/1,1/1) 1,0\n",
+    "root:0 [0/1,1/1) -> a,b\n",
+])
+def test_malformed_kernel_lines_are_domain_errors(tmp_path, spec_file, v21, text):
+    x = Basis.roots(v21)
+    sigma = permutation_element(expand(x, x.cells[0], 0), [1, 0])
+    grp = tmp_path / "q.grp"
+    grp.write_text(group_to_text(close_subgroup([sigma], 8)))
+    kern = tmp_path / "bad.kern"
+    kern.write_text(text)
+    for cmd in ("build-kernel", "encode"):
+        _assert_domain_error(
+            ["centralizer", cmd, "--spec", spec_file, "--group", str(grp),
+             "--type", "regular", "--kernel", str(kern)]
+        )

@@ -30,6 +30,7 @@ from cantorv.terms import (
     Leaf,
     expand,
     enumerate_bases,
+    leaf_contains,
     lub,
     relative_exponents,
     root_leaf,
@@ -198,6 +199,26 @@ def test_action_axioms_random(specs):
             cone, _ = _random_cone(spec, seed)
             assert cone_equals(act(invert(g), act(g, cone)), cone)
             assert cone_equals(act(compose(g, h), cone), act(g, act(h, cone)))
+
+
+def _leafwise_act(g, u):
+    """Reference ``act``: the support cells of a common refinement of the
+    witness basis and g's domain mapped leaf by leaf."""
+    if u.is_empty():
+        return u
+    basis, _ = witness_basis(u.spec, [u])
+    mid = lub(basis, g.domain)
+    return Cone.from_leaves(u.spec, [
+        g.image_of_leaf(cell) for cell in mid.cells if any(leaf_contains(s, cell) for s in u.cells)
+    ])
+
+
+def test_action_matches_leafwise_reference(specs):
+    for spec in specs.values():
+        for seed in range(10):
+            g = random_element(spec, spec.roots + 5, seed)
+            cone, _ = _random_cone(spec, seed)
+            assert act(g, cone).cells == _leafwise_act(g, cone).cells
 
 
 def test_action_preserves_norm_and_disjointness(v31):

@@ -26,7 +26,19 @@ from cantorv.elements import (
 )
 from cantorv.elements import _from_mapping, _image
 from cantorv.centralizer import centralizer_structure
-from cantorv.terms import Basis, Leaf, TermError, expand, is_admissible, leq, lub
+from cantorv.terms import (
+    Basis,
+    Leaf,
+    TermError,
+    check_leaf,
+    enumerate_bases,
+    expand,
+    find_ancestor,
+    is_admissible,
+    leq,
+    lub,
+    transport,
+)
 
 from oracles import replay_trees
 
@@ -382,6 +394,22 @@ def test_apply_requires_refinement(v21):
         apply_to_basis(sigma, Basis.roots(v21))
 
 
+def test_apply_rejects_a_cuboid_refinement_that_is_no_expansion(stein23):
+    # the overlay of halves and thirds refines the halves cell by cell, but
+    # no splitting moves reach it from them
+    x = Basis.roots(stein23)
+    h = expand(x, x.cells[0], 0)
+    overlay = Basis.from_cells(stein23, [
+        Leaf(0, ((F(0), F(1, 3)),)),
+        Leaf(0, ((F(1, 3), F(1, 2)),)),
+        Leaf(0, ((F(1, 2), F(2, 3)),)),
+        Leaf(0, ((F(2, 3), F(1)),)),
+    ])
+    swap = permutation_element(h, [1, 0])
+    with pytest.raises(TermError, match="does not refine"):
+        apply_to_basis(swap, overlay)
+
+
 def test_image_of_leaf_transport(v21):
     sigma = _sigma(v21)
     h = _halves(v21)
@@ -435,3 +463,67 @@ def test_image_requires_a_refinement_of_the_domain(v21, brin2v):
         _image(swap, expand(x, x.cells[0], 1))
     with pytest.raises(TermError):
         expand_diagram(swap, expand(x, x.cells[0], 1))
+
+
+# -- leafwise references for the callers of the image map ---------------------
+
+def _leafwise_equals(g, h):
+    """Reference ``equals``: every cell of the common refined domain mapped
+    leaf by leaf through both elements."""
+    common = lub(g.domain, h.domain)
+    return all(g.image_of_leaf(c) == h.image_of_leaf(c) for c in common.cells)
+
+
+def _leafwise_represent_on(g, y):
+    """Reference ``represent_on``: the images of the cells below each
+    y-leaf taken leaf by leaf, the range certified from its cells."""
+    mid = lub(g.domain, y)
+    under = {cell: [] for cell in y.cells}
+    for c in mid.cells:
+        under[find_ancestor(y, c)].append(c)
+    targets = []
+    for cell, below in under.items():
+        target = transport(below[0], g.image_of_leaf(below[0]), cell)
+        try:
+            check_leaf(g.spec, target)
+        except TermError:
+            return None
+        if any(g.image_of_leaf(c) != transport(cell, target, c) for c in below):
+            return None
+        targets.append(target)
+    try:
+        rng = Basis.from_cells(g.spec, targets)
+    except TermError:
+        return None
+    return rng, tuple(rng.index_of(t) for t in targets)
+
+
+def test_equals_matches_leafwise_reference(specs):
+    outcomes = []
+    for spec in specs.values():
+        for seed in range(8):
+            g = random_element(spec, spec.roots + 5, seed)
+            h = random_element(spec, spec.roots + 5, seed + 100)
+            leaf = g.domain.cells[seed % len(g.domain)]
+            finer = expand_diagram(g, expand(g.domain, leaf, seed % spec.num_colors))
+            # same bases, another bijection: equal off two leaves at most
+            turned = Element(spec, g.domain, g.range, g.perm[1:] + g.perm[:1])
+            pairs = [(g, h), (finer, g), (finer, h), (turned, g), (turned, finer),
+                     (compose(g, h), compose(finer, h)), (compose(g, invert(g)), identity(spec))]
+            for a, b in pairs:
+                outcomes.append(equals(a, b))
+                assert outcomes[-1] == _leafwise_equals(a, b)
+    assert True in outcomes and False in outcomes
+
+
+def test_represent_on_matches_leafwise_reference(specs):
+    outcomes = []
+    for spec in specs.values():
+        ys = enumerate_bases(spec, spec.roots + 3)
+        for seed in range(6):
+            g = random_element(spec, spec.roots + 4, seed)
+            for y in ys + [g.domain, g.range, lub(g.domain, g.range)]:
+                rep = represent_on(g, y)
+                outcomes.append(rep is None)
+                assert rep == _leafwise_represent_on(g, y)
+    assert True in outcomes and False in outcomes

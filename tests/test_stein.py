@@ -507,10 +507,11 @@ def test_case_i_h_links_match_pairwise_flag(specs, name):
 
 def _whole_link_h_links(spec, t):
     """``vertex -> (case, downlink, uplink, complex, witness)`` built from
-    the whole t-link: every link vertex, their order bitsets, and the join
-    of downlink and uplink; the construction ``h_descending_link`` had
-    before it enumerated only the vertex's own neighbourhood.  The link
-    and its bitsets are built once and shared by the returned function."""
+    the whole t-link: every link vertex, their order bitsets, and the order
+    complex of down and up together as the whole h-link; the construction
+    ``h_descending_link`` had before it enumerated only the vertex's own
+    neighbourhood and took the whole h-link as a join.  The link and its
+    bitsets are built once and shared by the returned function."""
     verts = link_vertices(spec, t)
     index = {v: i for i, v in enumerate(verts)}
     masks = stein_module._order_masks(verts, t)
@@ -534,7 +535,7 @@ def _whole_link_h_links(spec, t):
                 for block in vertex if block != kept for p in block[0]
             ])
             assert witness in up
-        return case, down_c, up_c, down_c.join(up_c), witness
+        return case, down_c, up_c, stein_module._order_complex(down + up, t), witness
 
     return h_link
 

@@ -10,6 +10,8 @@ from cantorv.terms import (
     ResourceCapError,
     TermError,
     basis_to_text,
+    canonical_order,
+    cells_admissible,
     check_leaf,
     contract,
     elementary_core,
@@ -28,6 +30,7 @@ from cantorv.terms import (
     relative_exponents,
     replay_script,
     root_leaf,
+    sibling_families,
     split_leaf,
     transport,
     very_elementary_leq,
@@ -151,6 +154,20 @@ def test_known_inadmissible_witness(stein23):
 def test_non_partition_is_error_not_false(v21):
     with pytest.raises(TermError):
         is_admissible(v21, [Leaf(0, ((F(0), F(1, 2)),))])
+
+
+def test_uncovered_cuboid_is_not_admissible(v21):
+    # a cell group that leaves part of its cuboid uncovered is no pattern
+    left = halves(v21).cells[0]
+    assert not cells_admissible(v21, [left])
+    two = parse_spec("roots=2; block[2]")
+    x = Basis.roots(two)
+    root0 = [c for c in expand(x, x.cells[0], 0).cells if c.root == 0]
+    assert not cells_admissible(two, root0)
+    with pytest.raises(TermError):
+        Basis.from_cells_trusted(two, root0)
+    with pytest.raises(TermError):
+        Basis.from_cells_trusted(two, [root_leaf(two, 0)])
 
 
 def test_malformed_leaf_is_error(stein23):
@@ -729,3 +746,63 @@ def test_integer_grid_matches_fraction_formulas(specs):
     assert _fraction_relative_exponents(spec46, quarter, cell36) is None
     split_ninth = [Leaf(0, ((F(k, 36), F(k + 1, 36)),)) for k in range(4)]
     assert parent_of_family(spec46, split_ninth, 0) is None
+
+
+# -- sibling families against brute force -------------------------------------
+
+def _brute_force_sibling_families(spec, cells):
+    """Reference ``sibling_families``: the one candidate parent of every
+    cell along every colour (the aligned cell n times as wide in the
+    colour's block), kept when it is a valid leaf whose children all lie
+    in ``cells`` and ``parent_of_family`` accepts them."""
+    cellset = set(cells)
+    found = {}
+    for color, (bi, n) in enumerate(spec.colors):
+        for cell in cellset:
+            lo, hi = cell.intervals[bi]
+            width = (hi - lo) * n
+            start = lo // width * width
+            ivs = list(cell.intervals)
+            ivs[bi] = (start, start + width)
+            parent = Leaf(cell.root, ivs)
+            try:
+                check_leaf(spec, parent)
+            except TermError:
+                continue
+            fam = split_leaf(spec, parent, color)
+            if set(fam) <= cellset and parent_of_family(spec, fam, color) == parent:
+                found[color, fam] = parent
+    rank = {c: i for i, c in enumerate(canonical_order(cellset))}
+    return sorted(
+        ((color, fam, parent) for (color, fam), parent in found.items()),
+        key=lambda t: (t[0], rank[t[1][0]]),
+    )
+
+
+def test_sibling_families_match_brute_force(specs):
+    checked = 0
+    for spec in specs.values():
+        bases = enumerate_bases(spec, spec.roots + 4)
+        for b in bases:
+            assert sibling_families(spec, b.cells) == _brute_force_sibling_families(spec, b.cells)
+            checked += len(sibling_families(spec, b.cells))
+        # overlapping cell sets: two bases together
+        for a, b in zip(bases, reversed(bases)):
+            cells = a.cellset() | b.cellset()
+            assert sibling_families(spec, cells) == _brute_force_sibling_families(spec, cells)
+    assert checked > 0
+
+
+def test_sibling_families_skip_parents_off_the_arity_monoid():
+    # four consecutive 1/36 cells would have the parent [0, 1/9), and 9 is
+    # not a product of the arities 4 and 6
+    spec46 = parse_spec("roots=1; block[4,6]")
+    split_ninth = [Leaf(0, ((F(k, 36), F(k + 1, 36)),)) for k in range(4)]
+    assert sibling_families(spec46, split_ninth) == []
+    assert _brute_force_sibling_families(spec46, split_ninth) == []
+    # a sixth split by 6 gives 1/36 cells with a valid parent along colour 1
+    sixth = Leaf(0, ((F(0), F(1, 6)),))
+    cells = split_ninth + list(split_leaf(spec46, sixth, 1))
+    expected = _brute_force_sibling_families(spec46, cells)
+    assert sibling_families(spec46, cells) == expected
+    assert [(color, parent) for color, _, parent in expected] == [(1, sixth)]

@@ -21,9 +21,11 @@ TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracin
 
 EXPECTED_SPANS = [
     "terms.cells_admissible",
+    "terms.sibling_families",
     "terms.basis_build",
     "terms.expand",
     "elements.reduce",
+    "elements.equals",
     "elements.close_subgroup",
     "cones.witness_basis",
     "cones.disjointify",
@@ -59,6 +61,7 @@ def _run_mix(spec):
     g = E.random_element(spec, 4, 1)
     h = E.random_element(spec, 4, 2)
     E.compose(g, h)
+    assert not E.equals(g, h)
 
     x = Basis.roots(spec)
     halves = expand(x, x.cells[0], 0)
