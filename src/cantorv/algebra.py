@@ -169,7 +169,10 @@ class AlgebraSpec:
 
     @property
     def d(self) -> int:
-        return compute_d(self)
+        key = "d"
+        if key not in self._caches:
+            self._caches[key] = compute_d(self)
+        return self._caches[key]
 
     def arity(self, color: int) -> int:
         return self.colors[color][1]

@@ -370,8 +370,8 @@ def _cmd_normalizer_analyze(args) -> int:
 
 def _print_f_vector(cx) -> None:
     print("dim\tcount")
-    for d in sorted(cx.simplices):
-        print(f"{d}\t{len(cx.simplices[d])}")
+    for d, count in sorted(cx.f_vector().items()):
+        print(f"{d}\t{count}")
 
 
 def _cmd_stein_build(args) -> int:

@@ -20,9 +20,9 @@ from .algebra import AlgebraSpec
 from .terms import (
     Basis,
     TermError,
+    _parent,
     _single_splits,
     _split_paths,
-    elementary_leq,
     enumerate_bases,
 )
 
@@ -38,9 +38,11 @@ class ComplexError(ValueError):
 class SimplicialComplex:
     """Face-closed abstract complex over hashable vertices.
 
-    Simplices are kept sorted by the sorted reprs of their vertices.  Each
-    vertex's repr is taken once and replaced by its rank among all of them
-    (equal reprs share a rank), which orders simplices the same way.
+    The vertices are listed once, sorted by their reprs, and each simplex is
+    the increasing tuple of its vertices' indices in that list.  Each
+    dimension's tuples are kept in lexicographic order, which orders
+    simplices by the sorted reprs of their vertices.  ``simplices``, the
+    same complex as lists of frozensets, is built on first read.
 
     The order follows reprs, not values: equal frozensets built in a
     different insertion order can have different reprs, and then list
@@ -49,14 +51,30 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices_by_dim: dict[int, list[frozenset]]):
-        verts = {v for ss in simplices_by_dim.values() for s in ss for v in s}
-        reprs = {v: repr(v) for v in verts}
-        order = {r: i for i, r in enumerate(sorted(set(reprs.values())))}
-        rank = self._rank = {v: order[r] for v, r in reprs.items()}
-        self.simplices = {
-            d: sorted(set(s), key=lambda s: sorted([rank[v] for v in s]))
-            for d, s in simplices_by_dim.items()
-            if s
+        verts = sorted({v for ss in simplices_by_dim.values() for s in ss for v in s}, key=repr)
+        index = {v: i for i, v in enumerate(verts)}
+        self._verts = verts
+        self._tuples = {
+            d: sorted({tuple(sorted(index[v] for v in s)) for s in ss})
+            for d, ss in simplices_by_dim.items()
+            if ss
+        }
+
+    @classmethod
+    def _of(cls, verts: list, tuples: dict[int, list[tuple]]) -> "SimplicialComplex":
+        """A complex from vertices in repr order and each dimension's
+        increasing index tuples in lexicographic order."""
+        cx = cls.__new__(cls)
+        cx._verts = verts
+        cx._tuples = tuples
+        return cx
+
+    @cached_property
+    def simplices(self) -> dict[int, list[frozenset]]:
+        """Each dimension's simplices as frozensets of vertices, in order."""
+        verts = self._verts
+        return {
+            d: [frozenset([verts[i] for i in s]) for s in ss] for d, ss in self._tuples.items()
         }
 
     @staticmethod
@@ -71,33 +89,55 @@ class SimplicialComplex:
 
     @staticmethod
     def flag(vertices, neighbours) -> "SimplicialComplex":
-        """All cliques of the graph where bit j of ``neighbours[i]`` joins
-        vertices i and j, grown depth first; a clique carries the mask of
-        the vertices after its last one that are adjacent to all of it."""
-        upper = [nb >> i + 1 << i + 1 for i, nb in enumerate(neighbours)]
-        by_dim: dict[int, list[frozenset]] = {}
-        stack = [((i,), mask) for i, mask in enumerate(upper)]
-        while stack:
-            c, mask = stack.pop()
-            by_dim.setdefault(len(c) - 1, []).append(frozenset(vertices[i] for i in c))
-            stack.extend((c + (j,), mask & upper[j]) for j in _bits(mask))
-        return SimplicialComplex(by_dim)
+        """All cliques of the graph where bit j of ``neighbours[i]`` or bit
+        i of ``neighbours[j]`` joins vertices i and j.
+
+        The vertices are put in repr order and each edge is kept as a bit
+        of its lower end's mask of higher neighbours.  Cliques grow one
+        dimension at a time, each by the vertices after its last one that
+        are adjacent to all of it, so every dimension comes out in
+        lexicographic order."""
+        reprs = [repr(v) for v in vertices]
+        order = sorted(range(len(reprs)), key=reprs.__getitem__)
+        new = [0] * len(order)
+        for k, i in enumerate(order):
+            new[i] = k
+        upper = [0] * len(order)
+        for i, mask in enumerate(neighbours):
+            a = new[i]
+            for j in _bits(mask):
+                b = new[j]
+                if a < b:
+                    upper[a] |= 1 << b
+                elif b < a:
+                    upper[b] |= 1 << a
+        by_dim: dict[int, list[tuple]] = {}
+        level = [((k,), mask) for k, mask in enumerate(upper)]
+        while level:
+            by_dim[len(by_dim)] = [c for c, _ in level]
+            level = [(c + (j,), mask & upper[j]) for c, mask in level for j in _bits(mask)]
+        return SimplicialComplex._of([vertices[i] for i in order], by_dim)
 
     def vertices(self) -> list:
-        return [next(iter(s)) for s in self.simplices.get(0, [])]
+        verts = self._verts
+        return [verts[s[0]] for s in self._tuples.get(0, [])]
 
     def f_vector(self) -> dict[int, int]:
-        return {d: len(s) for d, s in self.simplices.items()}
+        return {d: len(s) for d, s in self._tuples.items()}
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(s) for d, s in self.simplices.items())
+        return sum((-1) ** d * len(s) for d, s in self._tuples.items())
 
     def is_empty(self) -> bool:
-        return not self.simplices
+        return not self._tuples
 
     def contains_simplex(self, s) -> bool:
+        index = {v: i for i, v in enumerate(self._verts)}
         s = frozenset(s)
-        return s in set(self.simplices.get(len(s) - 1, []))
+        if not s <= index.keys():
+            return False
+        key = tuple(sorted(index[v] for v in s))
+        return key in set(self._tuples.get(len(key) - 1, []))
 
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         by_dim: dict[int, set[frozenset]] = {}
@@ -111,7 +151,7 @@ class SimplicialComplex:
         return SimplicialComplex({d: list(s) for d, s in by_dim.items()})
 
     def barycentric_subdivision(self) -> "SimplicialComplex":
-        faces = [s for ss in self.simplices.values() for s in ss]
+        faces = [s for ss in self._tuples.values() for s in ss]
         holding = _holding(faces)
         full = (1 << len(faces)) - 1
         neighbours = []
@@ -120,12 +160,13 @@ class SimplicialComplex:
             up = reduce(and_, (holding[v] for v in face))
             lacked = reduce(or_, (mask for v, mask in holding.items() if v not in face), 0)
             neighbours.append((up | full & ~lacked) & ~(1 << i))
-        return SimplicialComplex.flag(faces, neighbours)
+        verts = self._verts
+        return SimplicialComplex.flag(
+            [frozenset([verts[i] for i in face]) for face in faces], neighbours
+        )
 
     def connected_components(self) -> int:
-        verts = self.vertices()
-        index = {v: i for i, v in enumerate(verts)}
-        parent = list(range(len(verts)))
+        parent = list(range(len(self._verts)))
 
         def find(i):
             while parent[i] != i:
@@ -133,12 +174,11 @@ class SimplicialComplex:
                 i = parent[i]
             return i
 
-        for edge in self.simplices.get(1, []):
-            a, b = sorted(index[v] for v in edge)
+        for a, b in self._tuples.get(1, []):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-        return len({find(i) for i in range(len(verts))})
+        return len({find(s[0]) for s in self._tuples.get(0, [])})
 
 
 def _bits(mask: int):
@@ -162,18 +202,17 @@ def complexes_isomorphic_via(
     a: SimplicialComplex, b: SimplicialComplex, vertex_map
 ) -> bool:
     """Check that vertex_map is a simplicial isomorphism a -> b."""
-    averts = a.vertices()
-    images = [vertex_map(v) for v in averts]
-    if len(set(images)) != len(images):
+    images = [vertex_map(v) for v in a._verts]
+    index = {v: i for i, v in enumerate(b._verts)}
+    if len(set(images)) != len(images) or set(images) != set(b.vertices()):
         return False
-    if set(images) != set(b.vertices()):
-        return False
-    for d, simplices in a.simplices.items():
-        bs = set(b.simplices.get(d, []))
+    to_b = [index[v] for v in images]
+    for d, simplices in a._tuples.items():
+        bs = set(b._tuples.get(d, []))
         if len(simplices) != len(bs):
             return False
         for s in simplices:
-            if frozenset(vertex_map(v) for v in s) not in bs:
+            if tuple(sorted([to_b[i] for i in s])) not in bs:
                 return False
     return True
 
@@ -250,20 +289,15 @@ def homology(
             betti_rational=dict(report) if rational else None,
             euler=0,
         )
-    top = max(complex_.simplices)
-    rank = complex_._rank.__getitem__
-    sizes = {d: len(complex_.simplices.get(d, [])) for d in range(top + 1)}
+    simplices = complex_._tuples
+    top = max(simplices)
+    sizes = {d: len(simplices.get(d, [])) for d in range(top + 1)}
     # the boundary of each d-simplex as the indices of its faces, in the
     # order of its vertices; dimension 0 bounds the empty simplex, index 0
     faces: dict[int, list[list[int]]] = {0: [[0]] * sizes[0]}
     for d in range(1, top + 1):
-        lower = {s: i for i, s in enumerate(complex_.simplices[d - 1])}
-        rows = faces[d] = []
-        for s in complex_.simplices[d]:
-            verts = sorted(s, key=rank)
-            rows.append(
-                [lower[frozenset(verts[:i] + verts[i + 1 :])] for i in range(len(verts))]
-            )
+        lower = {s: i for i, s in enumerate(simplices[d - 1])}
+        faces[d] = [[lower[s[:i] + s[i + 1 :]] for i in range(d + 1)] for s in simplices[d]]
 
     def betti(ranks: dict[int, int]) -> dict[int, int]:
         out = {d: sizes[d] - ranks[d] - ranks.get(d + 1, 0) for d in range(top + 1)}
@@ -318,10 +352,43 @@ def build_stein(spec: AlgebraSpec, size_cap: int, cap: int | None = None) -> Sim
         for cells in _single_splits(bases[i], size_cap):
             j = index[cells]
             above[i] |= (1 << j) | above[j]
+    # i <= j is elementary unless a cell of i lies far above a cell of j;
+    # the splits from i to j pass through bases of the window, so every
+    # cell of i above a cell of j is reached by parents inside the window
+    window: dict = {}
+    own = [0] * n
+    for i, b in enumerate(bases):
+        for cell in b.cells:
+            own[i] |= window.setdefault(cell, 1 << len(window))
+    far = {cell: _far_above(spec, cell, window) for cell in window}
+    far_below = [reduce(or_, (far[cell] for cell in b.cells)) for b in bases]
     return SimplicialComplex.flag(bases, [
-        sum(1 << j for j in _bits(up) if elementary_leq(bases[i], bases[j]))
+        sum(1 << j for j in _bits(up) if not own[i] & far_below[j])
         for i, up in enumerate(above)
     ])
+
+
+def _far_above(spec: AlgebraSpec, cell, window: dict) -> int:
+    """The bitset of the ``window`` cells above a cell with some colour
+    split at least twice on the way down to it, found by walking up through
+    parents inside the window.  Split counts do not depend on the route, and
+    once one of them reaches 2 every cell further up is far too."""
+    k = spec.num_colors
+    out = 0
+    seen = {cell}
+    stack = [(cell, (0,) * k)]
+    while stack:
+        child, counts = stack.pop()
+        for c in range(k):
+            parent = _parent(spec, child, c)
+            if parent is None or parent in seen or parent not in window:
+                continue
+            seen.add(parent)
+            up = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
+            if max(up) > 1:
+                out |= window[parent]
+            stack.append((parent, up))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -804,14 +804,16 @@ def _single_contractions(b: Basis):
 # serialisation
 # ---------------------------------------------------------------------------
 
-def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _ratio_text(a: int, n: int) -> str:
+    """a/n in lowest terms, as ``Fraction(a, n)`` would print its parts."""
+    g = math.gcd(a, n)
+    return f"{a // g}/{n // g}"
 
 
 def leaf_to_text(leaf: Leaf) -> str:
     parts = [f"root:{leaf.root}"]
-    for lo, hi in leaf.intervals:
-        parts.append(f"[{format_fraction(lo)},{format_fraction(hi)})")
+    for a, c, n in leaf.grid:
+        parts.append(f"[{_ratio_text(a, n)},{_ratio_text(c, n)})")
     return " ".join(parts)
 
 

@@ -85,8 +85,13 @@ def test_comments_and_separators():
         ("roots=1; block[7]", 6),
     ],
 )
-def test_compute_d(src, d):
-    assert compute_d(parse_spec(src)) == d
+def test_compute_d(src, d, monkeypatch):
+    spec = parse_spec(src)
+    assert compute_d(spec) == d
+    assert spec.d == d
+    # read from the spec's cache from then on
+    monkeypatch.setattr("cantorv.algebra.compute_d", None)
+    assert spec.d == d
 
 
 def test_d_divides_each_arity_minus_one(specs):

@@ -229,8 +229,10 @@ def test_build_stein_faces_closed(v21):
     [("v21", 5, {0: 23, 1: 36, 2: 14}),
      ("stein23", 5, {0: 53, 1: 94, 2: 48, 3: 6}),
      ("2v", 4, {0: 50, 1: 87, 2: 42, 3: 4}),
-     ("mixed232", 4, {0: 61, 1: 108, 2: 52, 3: 4})],
-    ids=["v21-5", "stein23-5", "2v-4", "mixed232-4"],
+     ("mixed232", 4, {0: 61, 1: 108, 2: 52, 3: 4}),
+     ("2v", 5, {0: 262, 1: 627, 2: 482, 3: 116}),
+     ("mixed232", 5, {0: 360, 1: 875, 2: 696, 3: 180})],
+    ids=["v21-5", "stein23-5", "2v-4", "mixed232-4", "2v-5", "mixed232-5"],
 )
 def test_build_stein_edges_match_pairwise_scan(specs, name, cap, f):
     spec = specs[name]
@@ -280,6 +282,105 @@ def test_simplex_order_is_by_vertex_reprs(v21, stein23):
         for d, simplices in cx.simplices.items():
             assert simplices == sorted(simplices, key=lambda s: sorted(repr(v) for v in s))
         assert cx.vertices() == sorted(cx.vertices(), key=repr)
+
+
+# -- flag complexes against the generic constructor ---------------------------
+
+def _generic(cx):
+    """The same complex rebuilt from its frozensets by the generic
+    constructor."""
+    return SimplicialComplex({d: list(ss) for d, ss in cx.simplices.items()})
+
+
+def _assert_same_complex(a, b):
+    # ordered dicts: the same simplices in the same order
+    assert list(a.simplices.items()) == list(b.simplices.items())
+    assert a.vertices() == b.vertices()
+    for rational in (False, True):
+        ha, hb = homology(a, rational=rational), homology(b, rational=rational)
+        assert (ha.betti_gf2, ha.betti_rational, ha.euler) == (
+            hb.betti_gf2, hb.betti_rational, hb.euler
+        )
+
+
+def _edge_masks(cx):
+    """Symmetric neighbour bitsets over ``cx.vertices()``, read off its edges."""
+    index = {v: i for i, v in enumerate(cx.vertices())}
+    masks = [0] * len(index)
+    for edge in cx.simplices.get(1, []):
+        a, b = (index[v] for v in edge)
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_flag_keeps_edges_given_by_either_end(specs, name):
+    # build_stein hands flag upward bits only; a vertex's edges must
+    # survive whichever side of the re-indexing into repr order gives them.
+    # The vertices are given in reverse repr order, so that re-indexing
+    # turns every upward bit into a downward one
+    spec = specs[name]
+    for cx in (descending_link(spec, 5), build_stein(spec, 4), model_Kn(spec, 4)):
+        verts = list(reversed(cx.vertices()))
+        masks = list(reversed(_edge_masks(cx)))
+        n = len(masks)
+        masks = [sum(1 << n - 1 - j for j in stein_module._bits(m)) for m in masks]
+        upward = [m >> i + 1 << i + 1 for i, m in enumerate(masks)]
+        downward = [m & (1 << i) - 1 for i, m in enumerate(masks)]
+        for given in (masks, upward, downward):
+            _assert_same_complex(SimplicialComplex.flag(verts, given), cx)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_flag_matches_generic_constructor(specs, name):
+    spec = specs[name]
+    complexes = [model_Kn(spec, 5), descending_link(spec, 5), build_stein(spec, 4)]
+    complexes.append(complexes[0].barycentric_subdivision())
+    for cx in complexes:
+        _assert_same_complex(cx, _generic(cx))
+        _assert_same_complex(cx, SimplicialComplex.from_maximal(
+            s for ss in cx.simplices.values() for s in ss
+        ))
+
+
+def test_from_maximal_matches_flag_of_its_edges():
+    # the octahedron is the flag complex of its graph (the 6-vertex RP^2
+    # is not: its graph is complete)
+    octahedron = [
+        frozenset((x, y, z)) for x in "aA" for y in "bB" for z in "cC"
+    ]
+    cx = SimplicialComplex.from_maximal(octahedron)
+    verts = cx.vertices()
+    flagged = SimplicialComplex.flag(verts, _edge_masks(cx))
+    _assert_same_complex(flagged, cx)
+    assert homology(cx, rational=True).betti_rational == {0: 0, 1: 0, 2: 1}
+
+
+def test_topology_requests_build_no_frozenset_simplices(specs, monkeypatch):
+    # f-vectors, homology, isomorphism checks and subdivisions read the
+    # index tuples; only ``simplices`` builds the frozenset view
+    def unread(cx):
+        raise AssertionError("frozenset simplices built")
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(unread))
+    spec = specs["mixed232"]
+    for cx in (descending_link(spec, 5), build_stein(spec, 4), model_Kn(spec, 5)):
+        cx.f_vector()
+        homology(cx, rational=True)
+        cx.connected_components()
+    assert l0_matches_model(spec, 5)
+    vertex = next(v for v in link_vertices(spec, 6) if classify_vertex(spec, v) == "i")
+    rep = h_descending_link(spec, 6, vertex)
+    assert homology(rep.uplink).reduced_vanishes()
+    rep.downlink.f_vector()
+
+
+def test_simplices_view_is_built_once(v21):
+    cx = build_stein(v21, 4)
+    assert "simplices" not in vars(cx)
+    assert cx.simplices is cx.simplices
+    assert cx.f_vector() == {d: len(ss) for d, ss in cx.simplices.items()}
 
 
 # -- links --------------------------------------------------------------------

@@ -21,6 +21,7 @@ from cantorv.terms import (
     expansion_script,
     glb,
     is_admissible,
+    leaf_to_text,
     leq,
     lower_closure,
     lub,
@@ -587,6 +588,19 @@ def test_basis_text_round_trip(specs):
 
 def test_basis_text_format(v21):
     assert basis_to_text(halves(v21)) == "root:0 [0/1,1/2)\nroot:0 [1/2,1/1)\n"
+
+
+def test_leaf_text_matches_fraction_formatting(specs):
+    # leaf_to_text reduces each end on the integer grid; it must print
+    # what the Fraction ends print, on every cell of every cap-5 window
+    for spec in specs.values():
+        cells = {c for b in enumerate_bases(spec, 5) for c in b.cells}
+        for cell in cells:
+            expected = " ".join([f"root:{cell.root}"] + [
+                f"[{lo.numerator}/{lo.denominator},{hi.numerator}/{hi.denominator})"
+                for lo, hi in cell.intervals
+            ])
+            assert leaf_to_text(cell) == expected
 
 
 def test_script_round_trip(specs):

@@ -42,6 +42,8 @@ EXPECTED_SPANS = [
     "centralizer.build_kernel_element",
     "centralizer.splitting_lift",
     "stein.flag",
+    "stein.build_stein",
+    "stein.homology",
     "stein.descending_link",
     "stein.h_descending_link",
     "stein.link_vertices",
@@ -80,6 +82,7 @@ def _run_mix(spec):
     parts = C.disjointify(C.ConeTuple(spec, [left, full]))
     C.tuple_witness(parts, C.act_tuple(g, parts))
 
+    S.homology(S.build_stein(spec, 4), rational=True)
     S.descending_link(spec, 4)
     S.h_descending_link(spec, 4, S.link_vertices(spec, 4)[0])
     S.l0_matches_model(spec, 4)
