@@ -266,7 +266,7 @@ def act(g: Element, u: Cone) -> Cone:
         return u
     basis, assignment = witness_basis(u.spec, [u])
     mid = lub(basis, g.domain)
-    to_image = _cell_images(g, mid)[0]
+    to_image = _cell_images(g, mid)
     images = [
         to_image[cell]
         for cell in mid.cells

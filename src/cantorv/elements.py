@@ -8,6 +8,7 @@ right-to-left: (g * h)(u) = g(h(u)).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ from .terms import (
     transport,
     _clip,
     _graft,
+    _merge,
     _parent,
     _require_same_spec,
     _tree_cells,
@@ -115,43 +117,60 @@ def _same_spec(g: Element, h: Element) -> None:
         raise TermError("elements belong to different specs")
 
 
-def _cell_images(g: Element, b: Basis) -> tuple[dict[Leaf, Leaf], dict[Leaf, tuple]]:
-    """Each b-cell's image under g for b >= g.domain, with the subtree of b
-    to graft onto each image of a domain leaf.
-
-    b's tree is clipped along the path of each domain leaf (colours the
-    path splits by are pushed into b's tree where b opens otherwise).  The
-    clipped leaves refine b's cells, so they are b's cells exactly when
-    there are as many; else b does not refine g.domain and this raises
-    TermError.
-    """
+def _cell_images(g: Element, b: Basis) -> dict[Leaf, Leaf]:
+    """Each b-cell's image under g for b >= g.domain: b's trees clipped
+    along g.domain's, each part replayed below its domain leaf and below
+    that leaf's image.  Pushes in the clip split cells of b, so more cells
+    than b has mean that b does not refine g.domain: TermError."""
     spec = g.spec
-    clipped: dict[Leaf, tuple] = {}
+    clipped: list[tuple] = []
     for r in range(spec.roots):
-        _clip(spec, root_leaf(spec, r), g.domain.trees[r], b.trees[r], clipped)
-    subs: dict[Leaf, tuple] = {}
+        _clip(spec, g.domain.trees[r], b.trees[r], clipped)
     cells: dict[Leaf, Leaf] = {}
-    for leaf, p in zip(g.domain.cells, g.perm):
-        target = g.range.cells[p]
-        subs[target] = sub = clipped[leaf]
-        before: list[Leaf] = []
-        after: list[Leaf] = []
+    for sub, i in zip(clipped, g.domain.leaf_order):
+        leaf, target = g.domain.cells[i], g.range.cells[g.perm[i]]
+        if sub[0] == "leaf":
+            cells[leaf] = target
+            continue
+        before, after = [], []
         _tree_cells(spec, leaf, sub, before)
         _tree_cells(spec, target, sub, after)
         cells.update(zip(before, after))
     if len(cells) != len(b):
         raise TermError("basis does not refine the element's domain")
-    return cells, subs
+    return cells
+
+
+def _carry(g: Element, trees: list, size: int) -> tuple[Basis, list]:
+    """The image under g of labelled ``trees`` (one per root) of ``size``
+    leaves, with the label at each image leaf position: the trees clipped
+    along g.domain's, each part grafted onto its domain leaf's image in
+    g.range's trees.  A clip that splits a leaf gives more leaves than
+    ``size``: then the trees do not refine g.domain, and this raises
+    TermError."""
+    spec = g.spec
+    clipped: list[tuple] = []
+    for r in range(spec.roots):
+        _clip(spec, g.domain.trees[r], trees[r], clipped)
+    by_image: list = [None] * len(clipped)
+    for sub, i in zip(clipped, g.domain.leaf_order):
+        by_image[g.perm[i]] = sub
+    subs = iter([by_image[p] for p in g.range.leaf_order])
+    image_trees, cells, labels = {}, [], []
+    for r in range(spec.roots):
+        image_trees[r] = _graft(g.range.trees[r], subs)
+        _tree_cells(spec, root_leaf(spec, r), image_trees[r], cells, labels)
+    if len(cells) != size:
+        raise TermError("basis does not refine the element's domain")
+    return Basis(spec, cells, trees=image_trees), labels
 
 
 def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
     """The image basis g(b) for b >= g.domain, with each b-cell's image:
-    the clipped subtrees of ``_cell_images`` grafted onto the image leaves
-    in g.range's tree."""
-    spec = g.spec
-    cells, subs = _cell_images(g, b)
-    trees = {r: _graft(spec, root_leaf(spec, r), g.range.trees[r], subs) for r in range(spec.roots)}
-    return Basis(spec, cells.values(), trees=trees), cells
+    b's trees, each leaf labelled by its canonical index, carried by g."""
+    leaves = (("leaf", i) for i in b.leaf_order)
+    image, labels = _carry(g, [_graft(b.trees[r], leaves) for r in range(g.spec.roots)], len(b))
+    return image, {b.cells[i]: image.cells[j] for i, j in zip(labels, image.leaf_order)}
 
 
 def expand_diagram(g: Element, refined_domain: Basis) -> Element:
@@ -162,14 +181,21 @@ def expand_diagram(g: Element, refined_domain: Basis) -> Element:
 
 
 def compose(g: Element, h: Element) -> Element:
-    """g * h, applying h first: h^-1 and g carry the common refinement of
-    h's range and g's domain to the two sides of the product."""
+    """g * h, applying h first: the merge of h.range's and g.domain's trees,
+    its leaves numbered, is carried by h^-1 and by g to the two sides of the
+    product, where each number pairs a domain leaf with a range leaf."""
     _same_spec(g, h)
-    mid = lub(h.range, g.domain)
-    dom, to_dom = _image(invert(h), mid)
-    rng, to_rng = _image(g, mid)
-    pairs = {to_dom[c]: to_rng[c] for c in mid.cells}
-    return reduce(Element(g.spec, dom, rng, [rng.index_of(pairs[c]) for c in dom.cells]))
+    spec = g.spec
+    numbers = itertools.count()
+    leaves = (("leaf", k) for k in numbers)
+    mid = [_graft(_merge(spec, h.range.trees[r], g.domain.trees[r]), leaves)
+           for r in range(spec.roots)]
+    size = next(numbers)  # the number of labels handed out
+    dom, dom_labels = _carry(invert(h), mid, size)
+    rng, rng_labels = _carry(g, mid, size)
+    at = dict(zip(rng_labels, rng.leaf_order))
+    label = dict(zip(dom.leaf_order, dom_labels))
+    return reduce(Element(spec, dom, rng, [at[label[i]] for i in range(size)]))
 
 
 def equals(g: Element, h: Element) -> bool:
@@ -178,7 +204,7 @@ def equals(g: Element, h: Element) -> bool:
     if g.key() == h.key():
         return True
     common = lub(g.domain, h.domain)
-    return _cell_images(g, common)[0] == _cell_images(h, common)[0]
+    return _cell_images(g, common) == _cell_images(h, common)
 
 
 def reduce(g: Element) -> Element:
@@ -254,7 +280,7 @@ def represent_on(g: Element, y: Basis):
         raise TermError("element and basis belong to different specs")
     mid = lub(g.domain, y)
     spec = g.spec
-    images = _cell_images(g, mid)[0]
+    images = _cell_images(g, mid)
     under: dict[Leaf, list[Leaf]] = {cell: [] for cell in y.cells}
     for c in mid.cells:
         under[find_ancestor(y, c)].append(c)

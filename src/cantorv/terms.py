@@ -21,6 +21,7 @@ from .algebra import AlgebraSpec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+PATTERN_CACHE_LIMIT = 1 << 15  # entries of a spec's "patterns" memo, cleared when full
 
 
 class TermError(ValueError):
@@ -251,12 +252,11 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
     if not cells:
         # every split tree has a leaf, so an empty group covers no cuboid
         return None
+    if len(cells) == 1 and cuboid in cells:
+        return _LEAF
     cache = spec.cache("patterns")
     key = (cuboid, cells)
     if key in cache:
-        return cache[key]
-    if cells == frozenset((cuboid,)):
-        cache[key] = _LEAF
         return cache[key]
     result = None
     for color in range(spec.num_colors):
@@ -272,6 +272,8 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
         else:
             result = ("split", color, tuple(subtrees))
             break
+    if len(cache) >= PATTERN_CACHE_LIMIT:
+        cache.clear()
     cache[key] = result
     return result
 
@@ -296,42 +298,44 @@ def _certificate(spec: AlgebraSpec, cells) -> dict[int, tuple] | None:
 # A split tree of a cuboid is ``("leaf",)`` or ``("split", colour, subtrees)``
 # with one subtree per child of the split, in child order.  A tree says
 # nothing about where its cuboid lies, so a subtree moves unchanged to any
-# cell of the same shape.
+# cell of the same shape.  Its leaves, depth first, are its leaf positions;
+# a leaf may carry a label, ``("leaf", k)``, through clips and grafts.
 
 _LEAF = ("leaf",)
 
 
-def _tree_cells(spec: AlgebraSpec, cuboid: Leaf, tree: tuple, out: list) -> None:
-    """Append the cells that ``tree`` splits ``cuboid`` into."""
+def _tree_cells(spec: AlgebraSpec, cuboid: Leaf, tree: tuple, out: list, labels=None) -> None:
+    """Append the cells that ``tree`` splits ``cuboid`` into, in leaf
+    order, and each leaf's label to ``labels`` if given."""
     if tree[0] == "leaf":
         out.append(cuboid)
+        if labels is not None:
+            labels.append(tree[1])
         return
     for part, sub in zip(split_leaf(spec, cuboid, tree[1]), tree[2]):
-        _tree_cells(spec, part, sub, out)
+        _tree_cells(spec, part, sub, out, labels)
 
 
-def _graft(spec: AlgebraSpec, cuboid: Leaf, tree: tuple, subs: dict) -> tuple:
-    """``tree`` of ``cuboid`` with the leaf at each cell of ``subs`` replaced
-    by that cell's subtree."""
+def _graft(tree: tuple, subs) -> tuple:
+    """``tree`` with its leaves replaced, in leaf order, by the subtrees
+    the iterator ``subs`` yields."""
     if tree[0] == "leaf":
-        return subs.get(cuboid, tree)
-    color = tree[1]
-    return ("split", color, tuple(
-        _graft(spec, part, sub, subs) for part, sub in zip(split_leaf(spec, cuboid, color), tree[2])
-    ))
+        return next(subs)
+    return ("split", tree[1], tuple([_graft(sub, subs) for sub in tree[2]]))
 
 
 def _push(spec: AlgebraSpec, tree: tuple, color: int) -> tuple:
     """A tree opening with ``color`` (j below) of the least refinement of
     ``tree`` that splits its cuboid by j.
 
-    A leaf is split.  An inner node by another colour i pushes j into each
-    child, which gives the i-then-j double split with subtrees at its
-    cells, and then swaps the two levels: splits by distinct colours
-    commute, within one block by the order-preserving identification of
-    the n_i n_j cells and across blocks coordinate-wise."""
+    A leaf is split, each child keeping its label.  An inner node by
+    another colour i pushes j into each child, which gives the i-then-j
+    double split with subtrees at its cells, and then swaps the two
+    levels: splits by distinct colours commute, within one block by the
+    order-preserving identification of the n_i n_j cells and across
+    blocks coordinate-wise."""
     if tree[0] == "leaf":
-        return ("split", color, (_LEAF,) * spec.arity(color))
+        return ("split", color, (tree,) * spec.arity(color))
     i = tree[1]
     if i == color:
         return tree
@@ -364,17 +368,16 @@ def _merge(spec: AlgebraSpec, s: tuple, t: tuple) -> tuple:
     return ("split", color, tuple(_merge(spec, x, y) for x, y in zip(s[2], t[2])))
 
 
-def _clip(spec: AlgebraSpec, cuboid: Leaf, path: tuple, tree: tuple, out: dict) -> None:
-    """Map each leaf cell of ``path``, a tree of ``cuboid``, to the part of
-    ``tree`` below it; the colours ``path`` splits by are pushed into
-    ``tree`` where it opens otherwise."""
+def _clip(spec: AlgebraSpec, path: tuple, tree: tuple, out: list) -> None:
+    """Append the part of ``tree`` below each leaf of ``path``, a tree of
+    the same cuboid, in ``path``'s leaf order; the colours ``path`` splits
+    by are pushed into ``tree`` where it opens otherwise."""
     if path[0] == "leaf":
-        out[cuboid] = tree
+        out.append(tree)
         return
-    color = path[1]
-    tree = _push(spec, tree, color)
-    for part, p, t in zip(split_leaf(spec, cuboid, color), path[2], tree[2]):
-        _clip(spec, part, p, t, out)
+    tree = _push(spec, tree, path[1])
+    for p, t in zip(path[2], tree[2]):
+        _clip(spec, p, t, out)
 
 
 def is_admissible(spec: AlgebraSpec, leaves) -> tuple[bool, dict | None]:
@@ -427,16 +430,17 @@ class Basis:
     per root.
 
     ``trees`` maps each root to a split tree that replays to the basis's
-    cells on that root.  ``expand``, ``lub`` and the images of bases under
-    elements carry the tree they built, which may differ from the canonical
-    one; every other constructor (``from_cells``, ``from_cells_trusted``,
-    ``roots`` and the bases of ``_search``: parsed bases, contractions,
-    reductions, enumerations and cones) takes the canonical tree, the
-    ``certificate``.  The certificate is a function of the cells alone and
-    is computed on first read when the basis was built from a carried tree.
+    cells on that root; the k-th leaf of the trees, root by root, is
+    ``cells[leaf_order[k]]``.  ``expand``, ``lub`` and the images and
+    products of elements carry the trees they built, passing the cells in
+    their leaf order.  Every other constructor (``from_cells``,
+    ``from_cells_trusted``, ``roots`` and the bases of ``_search``: parsed
+    bases, contractions, reductions, enumerations and cones) takes the
+    canonical trees, the ``certificate``, and ``leaf_order`` is read off
+    them on first use.  The certificate is a function of the cells alone.
     """
 
-    __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_hash")
+    __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_order", "_hash")
 
     def __init__(self, spec: AlgebraSpec, cells, certificate: dict | None = None,
                  trees: dict | None = None):
@@ -446,6 +450,7 @@ class Basis:
         self._index: dict[Leaf, int] | None = None
         self._cert = certificate
         self._trees = trees
+        self._order = None if trees is None else tuple(map(self.index_of, cells))
         self._hash = hash(self._cellset)
         d = spec.d
         if (len(self.cells) - spec.roots) % d != 0:
@@ -467,6 +472,16 @@ class Basis:
         if self._trees is None:
             self._trees = self.certificate
         return self._trees
+
+    @property
+    def leaf_order(self) -> tuple[int, ...]:
+        """The canonical index of each leaf position of ``trees``."""
+        if self._order is None:
+            cells: list[Leaf] = []
+            for r in range(self.spec.roots):
+                _tree_cells(self.spec, root_leaf(self.spec, r), self.trees[r], cells)
+            self._order = tuple(map(self.index_of, cells))
+        return self._order
 
     @staticmethod
     def from_cells(spec: AlgebraSpec, cells) -> "Basis":
@@ -537,19 +552,18 @@ def _require_same_spec(a: Basis, b: Basis) -> None:
 
 def expand(b: Basis, leaf: Leaf, color: int) -> Basis:
     """Replace ``leaf`` by its ordered children under ``color``; the split
-    is grafted onto ``b``'s tree."""
+    is grafted onto ``b``'s trees at the leaf's position."""
     if leaf not in b:
         raise TermError("leaf not in basis")
     spec = b.spec
     if not 0 <= color < spec.num_colors:
         raise TermError(f"invalid colour {color}")
-    cells = set(b.cells)
-    cells.remove(leaf)
-    cells.update(split_leaf(spec, leaf, color))
-    trees = dict(b.trees)
-    r = leaf.root
-    split = {leaf: ("split", color, (_LEAF,) * spec.arity(color))}
-    trees[r] = _graft(spec, root_leaf(spec, r), trees[r], split)
+    k = b.leaf_order.index(b.index_of(leaf))
+    cells = [b.cells[i] for i in b.leaf_order]
+    cells[k : k + 1] = split_leaf(spec, leaf, color)
+    split = ("split", color, (_LEAF,) * spec.arity(color))
+    subs = itertools.chain(itertools.repeat(_LEAF, k), (split,), itertools.repeat(_LEAF))
+    trees = {r: _graft(b.trees[r], subs) for r in range(spec.roots)}
     return Basis(spec, cells, trees=trees)
 
 

@@ -184,12 +184,14 @@ def reachable_from(basis: Basis, max_size: int) -> set[frozenset]:
 
 def replay_trees(b: Basis) -> list[Leaf]:
     """The cells that the basis's carried split trees give when replayed
-    by splits from the roots, in tree order."""
+    by splits from the roots, in tree order.  A leaf is ``("leaf",)`` or a
+    labelled ``("leaf", k)``."""
     spec = b.spec
     out: list[Leaf] = []
 
     def walk(cuboid: Leaf, tree: tuple) -> None:
-        if tree == ("leaf",):
+        if tree[0] == "leaf":
+            assert len(tree) <= 2
             out.append(cuboid)
             return
         _, color, kids = tree

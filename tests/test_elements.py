@@ -25,7 +25,7 @@ from cantorv.elements import (
     represent_on,
 )
 from cantorv.elements import _from_mapping, _image
-from cantorv.centralizer import centralizer_structure
+from cantorv.centralizer import centralizer_structure, quotient_spec
 from cantorv.terms import (
     Basis,
     Leaf,
@@ -37,8 +37,11 @@ from cantorv.terms import (
     is_admissible,
     leq,
     lub,
+    root_leaf,
+    split_leaf,
     transport,
 )
+from cantorv.terms import _push, _tree_cells
 
 from oracles import replay_trees
 
@@ -452,6 +455,109 @@ def test_images_carry_trees_that_replay(specs):
             rewritten = expand_diagram(g, mid)
             _assert_trees_replay(rewritten.range)
             assert rewritten.domain == mid and equals(rewritten, g)
+
+
+def _cuboid_clip(spec, cuboid, path, tree, out):
+    """Map each leaf cell of ``path``, a tree of ``cuboid``, to the part of
+    ``tree`` below it, pushing the path's colours into ``tree``."""
+    if path[0] == "leaf":
+        out[cuboid] = tree
+        return
+    color = path[1]
+    tree = _push(spec, tree, color)
+    for part, p, t in zip(split_leaf(spec, cuboid, color), path[2], tree[2]):
+        _cuboid_clip(spec, part, p, t, out)
+
+
+def _cuboid_graft(spec, cuboid, tree, subs):
+    """``tree`` of ``cuboid`` with the leaf at each cell of ``subs`` replaced
+    by that cell's subtree."""
+    if tree[0] == "leaf":
+        return subs.get(cuboid, tree)
+    color = tree[1]
+    return ("split", color, tuple(
+        _cuboid_graft(spec, part, sub, subs)
+        for part, sub in zip(split_leaf(spec, cuboid, color), tree[2])
+    ))
+
+
+def _cuboid_image(g, b):
+    """Reference ``_image``: clip and graft keyed by the cells they reach,
+    splitting every cuboid on the way."""
+    spec = g.spec
+    clipped = {}
+    for r in range(spec.roots):
+        _cuboid_clip(spec, root_leaf(spec, r), g.domain.trees[r], b.trees[r], clipped)
+    subs, cells = {}, {}
+    for leaf, p in zip(g.domain.cells, g.perm):
+        target = g.range.cells[p]
+        subs[target] = sub = clipped[leaf]
+        before, after = [], []
+        _tree_cells(spec, leaf, sub, before)
+        _tree_cells(spec, target, sub, after)
+        cells.update(zip(before, after))
+    if len(cells) != len(b):
+        raise TermError("basis does not refine the element's domain")
+    trees = {r: _cuboid_graft(spec, root_leaf(spec, r), g.range.trees[r], subs)
+             for r in range(spec.roots)}
+    ordered = []
+    for r in range(spec.roots):
+        _tree_cells(spec, root_leaf(spec, r), trees[r], ordered)
+    return Basis(spec, ordered, trees=trees), cells
+
+
+def _cuboid_compose(g, h):
+    """Reference product: the lub of h's range and g's domain carried by
+    h^-1 and g through the cuboid-keyed clip and graft."""
+    mid = lub(h.range, g.domain)
+    dom, to_dom = _cuboid_image(invert(h), mid)
+    rng, to_rng = _cuboid_image(g, mid)
+    pairs = {to_dom[c]: to_rng[c] for c in mid.cells}
+    return reduce(Element(g.spec, dom, rng, [rng.index_of(pairs[c]) for c in dom.cells]))
+
+
+@pytest.mark.parametrize("roots", [1, 2, 3, 4])
+def test_compose_matches_cuboid_reference(specs, roots):
+    # over r roots, leaf positions run across the roots' trees
+    for name, base in specs.items():
+        spec = base if roots == 1 else quotient_spec(base, roots)
+        for seed in range(12):
+            size = spec.roots + (5 if seed % 2 else 8)
+            g = random_element(spec, size, seed)
+            h = random_element(spec, size, seed + 100)
+            gh = compose(g, h)
+            # products carry merged, labelled trees into the next product
+            for a, b in [(g, h), (h, g), (g, invert(g)), (gh, h), (g, gh), (gh, gh)]:
+                assert compose(a, b).key() == _cuboid_compose(a, b).key(), (name, roots, seed)
+
+
+def _assert_leaf_order(b):
+    cells = []
+    for r in range(b.spec.roots):
+        _tree_cells(b.spec, root_leaf(b.spec, r), b.trees[r], cells)
+    assert [b.cells[i] for i in b.leaf_order] == cells
+    assert sorted(b.leaf_order) == list(range(len(b)))
+
+
+def test_leaf_order_follows_the_trees_of_every_constructor(specs):
+    for name, base in specs.items():
+        for spec in (base, quotient_spec(base, 3)):
+            roots = Basis.roots(spec)
+            bases = [roots, Basis.from_cells(spec, roots.cells)]
+            bases += enumerate_bases(spec, spec.roots + 3)
+            for seed in range(4):
+                g = random_element(spec, spec.roots + 5, seed)
+                h = random_element(spec, spec.roots + 5, seed + 100)
+                leaf = g.domain.cells[seed % len(g.domain)]
+                finer = expand(g.domain, leaf, seed % spec.num_colors)
+                mid = lub(h.range, g.domain)
+                product = compose(g, h)
+                bases += [g.domain, g.range, finer, mid, _image(g, mid)[0], _image(g, finer)[0],
+                          product.domain, product.range,
+                          reduce(expand_diagram(g, finer)).range,
+                          Basis.from_cells(spec, finer.cells)]
+            for b in bases:
+                _assert_leaf_order(b)
 
 
 def test_image_requires_a_refinement_of_the_domain(v21, brin2v):

@@ -422,6 +422,34 @@ def test_split_assignment_rejects_a_cell_across_a_child_boundary(v21, stein23):
     assert [len(cells) for cells in assignment] == [1, 1, 1]
 
 
+class _PeakDict(dict):
+    """A memo that records the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+def _window_with_pattern_memo():
+    spec = parse_spec("roots=1; block[2,3]; block[2]")
+    memo = spec._caches["patterns"] = _PeakDict()
+    bases = enumerate_bases(spec, 6)
+    return [(b.cells, b.certificate) for b in bases], memo
+
+
+def test_pattern_memo_is_cleared_at_its_bound(monkeypatch):
+    import cantorv.terms as terms
+
+    full, memo = _window_with_pattern_memo()
+    assert memo.peak > 16
+    monkeypatch.setattr(terms, "PATTERN_CACHE_LIMIT", 16)
+    bounded, memo = _window_with_pattern_memo()
+    assert bounded == full
+    assert 0 < memo.peak <= 16
+
+
 # -- elementary structure ----------------------------------------------------
 
 def test_two_level_tree_not_elementary(v21):

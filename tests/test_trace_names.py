@@ -20,6 +20,8 @@ from cantorv.terms import Basis, expand
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 EXPECTED_SPANS = [
+    "terms.lub",
+    "elements.compose",
     "terms.cells_admissible",
     "terms.sibling_families",
     "terms.basis_build",
