@@ -19,8 +19,8 @@ from .algebra import AlgebraSpec
 from .terms import (
     Basis,
     Leaf,
-    TermError,
     ZERO,
+    _certificate,
     _on_grid,
     boxes_intersect,
     canonical_order,
@@ -231,10 +231,8 @@ def witness_basis(spec: AlgebraSpec, cones) -> tuple[Basis, list[list[Leaf]]]:
                 raise ConeError("witness basis requires disjoint supports")
             if not mask:
                 candidate.extend(_box_to_cells(spec, r, box))
-    try:
-        basis = Basis.from_cells_trusted(spec, candidate)
-    except TermError:
-        basis = _grid_basis(spec, cover_cells)
+    cert = _certificate(spec, candidate)
+    basis = _grid_basis(spec, cover_cells) if cert is None else Basis(spec, candidate, cert)
     assignment: list[list[Leaf]] = [[] for _ in cones]
     for cell in basis.cells:
         for i, cone in enumerate(cones):

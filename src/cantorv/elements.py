@@ -8,6 +8,7 @@ right-to-left: (g * h)(u) = g(h(u)).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .terms import (
     _clip,
     _graft,
     _merge,
+    _order_key,
     _parent,
     _require_same_spec,
     _tree_cells,
@@ -210,33 +212,42 @@ def equals(g: Element, h: Element) -> bool:
 def reduce(g: Element) -> Element:
     """Contract matching sibling families on both sides until none remain.
 
-    A move is accepted only if both contracted leaf sets stay admissible;
-    a contraction can produce a cuboid partition that is not reachable from
-    the roots, and diagrams are kept over root-refining bases.
+    A family matches when its images are the children of one cell by the
+    same colour, in order; a move is accepted only if both contracted leaf
+    sets stay admissible, so diagrams stay over root-refining bases.
+    Reduced diagrams are not unique, so each move is the first acceptable
+    matched family in ``sibling_families`` order.  The matched families
+    wait in a heap in that order; a move adds those that hold its parent.
+    A family F -> P once rejected is never retried: admissibility is closed
+    upward, and after a later move G -> Q the set S - F + P is S2 - F + P
+    with Q split, so S2 - F + P is not admissible either.  The range side
+    is alike and the image test reads only F's cells, so the heap minimum
+    is the move a rescan from the start would take.
     """
     spec = g.spec
-    dom_cells = list(g.domain.cells)
-    rng_cells = list(g.range.cells)
-    mapping = {dom_cells[i]: rng_cells[g.perm[i]] for i in range(len(dom_cells))}
-    changed = True
-    while changed:
-        changed = False
-        for color, fam, parent in sibling_families(spec, mapping.keys()):
-            images = [mapping[c] for c in fam]
-            img_parent = _parent(spec, images[0], color)
-            if img_parent is None or tuple(images) != split_leaf(spec, img_parent, color):
-                continue
-            new_dom = set(mapping) - set(fam) | {parent}
-            new_rng = set(mapping.values()) - set(images) | {img_parent}
-            if not cells_admissible(spec, new_dom):
-                continue
-            if not cells_admissible(spec, new_rng):
-                continue
-            for c in fam:
-                del mapping[c]
-            mapping[parent] = img_parent
-            changed = True
-            break
+    mapping = {c: g.range.cells[p] for c, p in zip(g.domain.cells, g.perm)}
+    key = _order_key(mapping)  # every later cell coarsens these
+    heap = [(color, key(fam[0]), fam, parent)
+            for color, fam, parent in sibling_families(spec, mapping, mapping)]
+    heapq.heapify(heap)
+    while heap:
+        color, _, fam, parent = heapq.heappop(heap)
+        if any(c not in mapping for c in fam):
+            continue
+        images = [mapping[c] for c in fam]
+        img_parent = _parent(spec, images[0], color)
+        if not cells_admissible(spec, mapping.keys() - fam | {parent}):
+            continue
+        if not cells_admissible(spec, set(mapping.values()).difference(images) | {img_parent}):
+            continue
+        for c in fam:
+            del mapping[c]
+        mapping[parent] = img_parent
+        siblings = {x for i in range(spec.num_colors) if (up := _parent(spec, parent, i))
+                    for x in split_leaf(spec, up, i) if x in mapping}
+        for color, fam, new in sibling_families(spec, siblings, mapping):
+            if parent in fam:
+                heapq.heappush(heap, (color, key(fam[0]), fam, new))
     if len(mapping) == len(g.domain):
         return g
     return _from_mapping(spec, mapping)

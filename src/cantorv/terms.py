@@ -12,6 +12,8 @@ in the read-only ``Leaf.intervals`` view.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 from collections import deque
@@ -104,13 +106,10 @@ def _coord(a: int, c: int, n: int) -> tuple[int, int, int]:
     return (a // g, c // g, n // g)
 
 
-def canonical_order(cells) -> list[Leaf]:
-    """Leaves of one spec sorted by ``Leaf.key``, compared on integers:
-    each block's interval ends are scaled to the leaves' common
-    denominator in that block."""
-    cells = list(cells)
-    if len(cells) < 2:
-        return cells
+def _order_key(cells):
+    """``Leaf.key`` on integers: each block's interval ends scaled to the
+    common denominator of ``cells`` in that block.  The key also orders
+    every coarser cell, whose denominators divide those of the cells."""
     scales = [math.lcm(*(n for _, _, n in col)) for col in zip(*(c.grid for c in cells))]
 
     def key(leaf: Leaf) -> tuple:
@@ -121,7 +120,15 @@ def canonical_order(cells) -> list[Leaf]:
             out.append(c * f)
         return tuple(out)
 
-    return sorted(cells, key=key)
+    return key
+
+
+def canonical_order(cells) -> list[Leaf]:
+    """Leaves of one spec sorted by ``Leaf.key``, compared on integers."""
+    cells = list(cells)
+    if len(cells) < 2:
+        return cells
+    return sorted(cells, key=_order_key(cells))
 
 
 def root_leaf(spec: AlgebraSpec, root: int) -> Leaf:
@@ -606,9 +613,13 @@ def contract(b: Basis, family, color: int) -> Basis:
     return Basis.from_cells(b.spec, cells)  # strict: contractions can leave the window
 
 
-def sibling_families(spec: AlgebraSpec, cells) -> list[tuple[int, tuple[Leaf, ...], Leaf]]:
+def sibling_families(
+    spec: AlgebraSpec, cells, images=None
+) -> list[tuple[int, tuple[Leaf, ...], Leaf]]:
     """All (color, family, parent) contractions available in a cell set,
-    in canonical order."""
+    in canonical order.  Given ``images``, a map from each cell to a cell,
+    only the families whose images are the children of one cell by the
+    same colour, child by child."""
     out = []
     cellset = set(cells)
     for color, (bi, n) in enumerate(spec.colors):
@@ -617,14 +628,24 @@ def sibling_families(spec: AlgebraSpec, cells) -> list[tuple[int, tuple[Leaf, ..
         groups: dict[tuple, list[Leaf]] = {}
         for cell in cellset:
             a, c, m = cell.grid[bi]
-            if c == a + 1 and m % n == 0:
-                key = (cell.root, cell.grid[:bi], cell.grid[bi + 1 :], a // n, m)
-                groups.setdefault(key, []).append(cell)
+            if c != a + 1 or m % n:
+                continue
+            key = (cell.root, cell.grid[:bi], cell.grid[bi + 1 :], a // n, m)
+            if images is not None:
+                # the image is the same child of an image parent
+                img = images[cell]
+                b, d, q = img.grid[bi]
+                if d != b + 1 or q % n or b % n != a % n:
+                    continue
+                key += (img.root, img.grid[:bi], img.grid[bi + 1 :], b // n, q)
+            groups.setdefault(key, []).append(cell)
         for group in groups.values():
             # n distinct cells under one key are all the children of one cell
             if len(group) == n:
                 parent = _parent(spec, group[0], color)
-                if parent is not None:
+                if parent is not None and (
+                    images is None or _parent(spec, images[group[0]], color) is not None
+                ):
                     group.sort(key=lambda x: x.grid[bi][0])
                     out.append((color, tuple(group), parent))
     # families of one colour are disjoint, so their first leaves order them
@@ -864,26 +885,26 @@ def parse_basis_text(spec: AlgebraSpec, text: str) -> Basis:
 
 def expansion_script(b: Basis) -> list[tuple[int, int]]:
     """A deterministic (leaf index, colour) script replaying the basis from
-    the roots, derived from the admissibility certificate."""
+    the roots, derived from the admissibility certificate: each step splits
+    the canonically first cell whose certificate subtree still splits."""
     spec = b.spec
-    trees: dict[Leaf, tuple] = {}
-    for r in range(spec.roots):
-        trees[root_leaf(spec, r)] = b.certificate[r]
-    cells = canonical_order(trees)
+    key = _order_key(b.cells)
+    roots = [root_leaf(spec, r) for r in range(spec.roots)]
+    keys = [key(c) for c in roots]  # the current cells, sorted
+    trees = [b.certificate[r] for r in range(spec.roots)]
+    pending = [x for x in zip(keys, roots, trees) if x[2][0] == "split"]  # cells still to split
     script: list[tuple[int, int]] = []
-    while True:
-        for idx, cell in enumerate(cells):
-            tree = trees[cell]
-            if tree[0] == "split":
-                _, color, subtrees = tree
-                script.append((idx, color))
-                del trees[cell]
-                for child, sub in zip(split_leaf(spec, cell, color), subtrees):
-                    trees[child] = sub
-                cells = canonical_order(trees)
-                break
-        else:
-            return script
+    while pending:
+        k, cell, (_, color, subtrees) = heapq.heappop(pending)
+        idx = bisect.bisect_left(keys, k)
+        script.append((idx, color))
+        del keys[idx]
+        for child, sub in zip(split_leaf(spec, cell, color), subtrees):
+            ck = key(child)
+            bisect.insort(keys, ck)
+            if sub[0] == "split":
+                heapq.heappush(pending, (ck, child, sub))
+    return script
 
 
 def replay_script(spec: AlgebraSpec, script, start: Basis | None = None) -> Basis:

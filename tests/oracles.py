@@ -3,7 +3,9 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.
+lattice operations they cross-check.  The last two are the engine's own
+earlier loops, kept as references for the faster versions that replaced
+them: ``restart_reduce`` and ``stepwise_expansion_script``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,19 @@ import itertools
 from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
-from cantorv.terms import Basis, Leaf, enumerate_bases, expand, root_leaf, split_leaf
+from cantorv.elements import Element, _from_mapping
+from cantorv.terms import (
+    Basis,
+    Leaf,
+    _parent,
+    canonical_order,
+    cells_admissible,
+    enumerate_bases,
+    expand,
+    root_leaf,
+    sibling_families,
+    split_leaf,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -204,3 +218,60 @@ def replay_trees(b: Basis) -> list[Leaf]:
     for r in range(spec.roots):
         walk(root_leaf(spec, r), b.trees[r])
     return out
+
+
+def restart_reduce(g: Element) -> Element:
+    """Reference ``reduce``: scan the sibling families of the domain in
+    order, contract the first whose images are the same-colour children of
+    one cell, in order, and whose two contracted sides stay admissible,
+    then start the scan over; stop when a scan contracts nothing."""
+    spec = g.spec
+    dom_cells = list(g.domain.cells)
+    rng_cells = list(g.range.cells)
+    mapping = {dom_cells[i]: rng_cells[g.perm[i]] for i in range(len(dom_cells))}
+    changed = True
+    while changed:
+        changed = False
+        for color, fam, parent in sibling_families(spec, mapping.keys()):
+            images = [mapping[c] for c in fam]
+            img_parent = _parent(spec, images[0], color)
+            if img_parent is None or tuple(images) != split_leaf(spec, img_parent, color):
+                continue
+            new_dom = set(mapping) - set(fam) | {parent}
+            new_rng = set(mapping.values()) - set(images) | {img_parent}
+            if not cells_admissible(spec, new_dom):
+                continue
+            if not cells_admissible(spec, new_rng):
+                continue
+            for c in fam:
+                del mapping[c]
+            mapping[parent] = img_parent
+            changed = True
+            break
+    if len(mapping) == len(g.domain):
+        return g
+    return _from_mapping(spec, mapping)
+
+
+def stepwise_expansion_script(b: Basis) -> list[tuple[int, int]]:
+    """Reference ``expansion_script``: after every split, sort the current
+    cells again and split the first one whose certificate subtree splits."""
+    spec = b.spec
+    trees: dict[Leaf, tuple] = {}
+    for r in range(spec.roots):
+        trees[root_leaf(spec, r)] = b.certificate[r]
+    cells = canonical_order(trees)
+    script: list[tuple[int, int]] = []
+    while True:
+        for idx, cell in enumerate(cells):
+            tree = trees[cell]
+            if tree[0] == "split":
+                _, color, subtrees = tree
+                script.append((idx, color))
+                del trees[cell]
+                for child, sub in zip(split_leaf(spec, cell, color), subtrees):
+                    trees[child] = sub
+                cells = canonical_order(trees)
+                break
+        else:
+            return script

@@ -33,6 +33,7 @@ from cantorv.terms import (
     check_leaf,
     enumerate_bases,
     expand,
+    expansion_script,
     find_ancestor,
     is_admissible,
     leq,
@@ -43,7 +44,8 @@ from cantorv.terms import (
 )
 from cantorv.terms import _push, _tree_cells
 
-from oracles import replay_trees
+import cantorv.elements as E
+from oracles import replay_trees, restart_reduce, stepwise_expansion_script
 
 from fractions import Fraction as F
 
@@ -171,6 +173,56 @@ def test_reduce_is_fixpoint_and_preserves_value(specs):
 def test_reduced_swap_stays_two_leaves(v21):
     sigma = _sigma(v21)
     assert len(reduce(sigma).domain) == 2
+
+
+def _unreduced(monkeypatch, g, h):
+    """compose(g, h) as the product diagram, before any contraction."""
+    with monkeypatch.context() as m:
+        m.setattr(E, "reduce", lambda x: x)
+        return compose(g, h)
+
+
+def test_reduce_matches_restart_reference(specs, monkeypatch):
+    # the heap takes the moves the restart loop takes, and never retries a
+    # rejected family; the corpus must hold a call where a family fails
+    # admissibility and a later move is still accepted
+    outcomes = []
+    admissible = E.cells_admissible
+
+    def spy(spec, cells):
+        outcomes.append(admissible(spec, cells))
+        return outcomes[-1]
+
+    products = []
+    for base in specs.values():
+        for roots in (1, 2, 3, 4):
+            spec = base if roots == 1 else quotient_spec(base, roots)
+            for extra in (5, 11):
+                for seed in range(8):
+                    g = random_element(spec, spec.roots + extra, seed)
+                    h = random_element(spec, spec.roots + extra, seed + 1000)
+                    for a, b in [(g, h), (h, g), (g, invert(g)), (g, g)]:
+                        products.append(_unreduced(monkeypatch, a, b))
+    mixed = specs["mixed232"]
+    case = _unreduced(monkeypatch, random_element(mixed, 9, 86), random_element(mixed, 9, 1086))
+    assert len(case.domain) == 33
+    products.append(case)
+    retried_past = 0
+    monkeypatch.setattr(E, "cells_admissible", spy)
+    for p in products:
+        outcomes.clear()
+        r = reduce(p)
+        assert r.key() == restart_reduce(p).key()
+        # each candidate is one check that fails, or a domain pass then a
+        # range check; two passes are an accepted move
+        moves, i = [], 0
+        while i < len(outcomes):
+            moves.append(outcomes[i] and outcomes[i + 1])
+            i += 1 + outcomes[i]
+        if False in moves and True in moves[moves.index(False):]:
+            retried_past += 1
+    assert len(reduce(case).domain) == 29
+    assert retried_past > 0
 
 
 # -- permutation elements -----------------------------------------------------
@@ -365,6 +417,17 @@ def test_element_round_trip(specs):
             g = random_element(spec, spec.roots + 5, seed)
             text = element_to_text(g)
             assert equals(parse_element_text(spec, text), g)
+
+
+def test_expansion_script_matches_stepwise_reference(specs):
+    for base in specs.values():
+        for spec in (base, quotient_spec(base, 2), quotient_spec(base, 3)):
+            for seed in range(8):
+                g = random_element(spec, spec.roots + 11, seed)
+                h = random_element(spec, spec.roots + 11, seed + 100)
+                gh = compose(g, h)
+                for b in (g.domain, g.range, gh.domain, gh.range, lub(g.domain, h.range)):
+                    assert expansion_script(b) == stepwise_expansion_script(b)
 
 
 def test_element_text_is_reduced_and_stable(v21):

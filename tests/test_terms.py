@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -792,11 +793,13 @@ def test_integer_grid_matches_fraction_formulas(specs):
 
 # -- sibling families against brute force -------------------------------------
 
-def _brute_force_sibling_families(spec, cells):
+def _brute_force_sibling_families(spec, cells, images=None):
     """Reference ``sibling_families``: the one candidate parent of every
     cell along every colour (the aligned cell n times as wide in the
     colour's block), kept when it is a valid leaf whose children all lie
-    in ``cells`` and ``parent_of_family`` accepts them."""
+    in ``cells`` and ``parent_of_family`` accepts them; given ``images``,
+    kept only when the children's images, in order, are the children of
+    the parent ``parent_of_family`` finds for them."""
     cellset = set(cells)
     found = {}
     for color, (bi, n) in enumerate(spec.colors):
@@ -812,8 +815,14 @@ def _brute_force_sibling_families(spec, cells):
             except TermError:
                 continue
             fam = split_leaf(spec, parent, color)
-            if set(fam) <= cellset and parent_of_family(spec, fam, color) == parent:
-                found[color, fam] = parent
+            if not (set(fam) <= cellset and parent_of_family(spec, fam, color) == parent):
+                continue
+            if images is not None:
+                targets = tuple(images[c] for c in fam)
+                img_parent = parent_of_family(spec, targets, color)
+                if img_parent is None or split_leaf(spec, img_parent, color) != targets:
+                    continue
+            found[color, fam] = parent
     rank = {c: i for i, c in enumerate(canonical_order(cellset))}
     return sorted(
         ((color, fam, parent) for (color, fam), parent in found.items()),
@@ -822,17 +831,32 @@ def _brute_force_sibling_families(spec, cells):
 
 
 def test_sibling_families_match_brute_force(specs):
-    checked = 0
+    checked = matched = dropped = 0
+    rng = random.Random(0)
     for spec in specs.values():
         bases = enumerate_bases(spec, spec.roots + 4)
+        same_size = {}
         for b in bases:
-            assert sibling_families(spec, b.cells) == _brute_force_sibling_families(spec, b.cells)
-            checked += len(sibling_families(spec, b.cells))
+            same_size.setdefault(len(b), []).append(b)
+        for b in bases:
+            families = sibling_families(spec, b.cells)
+            assert families == _brute_force_sibling_families(spec, b.cells)
+            checked += len(families)
+            # images onto bases of the same size, in canonical order and shuffled
+            for other in same_size[len(b)][:4]:
+                targets = list(other.cells)
+                for _ in range(2):
+                    images = dict(zip(b.cells, targets))
+                    got = sibling_families(spec, b.cells, images)
+                    assert got == _brute_force_sibling_families(spec, b.cells, images)
+                    matched += len(got)
+                    dropped += len(families) - len(got)
+                    rng.shuffle(targets)
         # overlapping cell sets: two bases together
         for a, b in zip(bases, reversed(bases)):
             cells = a.cellset() | b.cellset()
             assert sibling_families(spec, cells) == _brute_force_sibling_families(spec, cells)
-    assert checked > 0
+    assert checked > 0 and matched > 0 and dropped > 0
 
 
 def test_sibling_families_skip_parents_off_the_arity_monoid():
@@ -848,3 +872,10 @@ def test_sibling_families_skip_parents_off_the_arity_monoid():
     expected = _brute_force_sibling_families(spec46, cells)
     assert sibling_families(spec46, cells) == expected
     assert [(color, parent) for color, _, parent in expected] == [(1, sixth)]
+    # sixteenths of a quarter are a family, but their images on the 1/36
+    # grid would have that ninth as their parent
+    sixteenths = split_leaf(spec46, Leaf(0, ((F(0), F(1, 4)),)), 0)
+    assert len(sibling_families(spec46, sixteenths)) == 1
+    images = dict(zip(sixteenths, split_ninth))
+    assert sibling_families(spec46, sixteenths, images) == []
+    assert _brute_force_sibling_families(spec46, sixteenths, images) == []

@@ -10,12 +10,13 @@ centraliser, cone and complex operations, and checks that the spans the
 
 import importlib.util
 import pathlib
+from fractions import Fraction as F
 
 import cantorv.centralizer as Z
 import cantorv.cones as C
 import cantorv.elements as E
 import cantorv.stein as S
-from cantorv.terms import Basis, expand
+from cantorv.terms import Basis, Leaf, expand
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -65,6 +66,8 @@ def _run_mix(spec):
     g = E.random_element(spec, 4, 1)
     h = E.random_element(spec, 4, 2)
     E.compose(g, h)
+    # g * g^-1 contracts, so reduce tests admissibility
+    E.compose(g, E.invert(g))
     assert not E.equals(g, h)
 
     x = Basis.roots(spec)
@@ -101,3 +104,19 @@ def test_traced_spans_record_calls(v21):
     silent = [name for name in EXPECTED_SPANS if not metrics.get(f"{name}.calls")]
     assert silent == []
     assert not hasattr(E.compose, "__wrapped__"), "tracer left installed"
+
+
+def test_witness_fallback_records_no_failure(stein23):
+    # {[0,1/3), [1/3,1/2), [1/2,1)} is not admissible: witness_basis falls
+    # back to the grid basis without an exception crossing a layer
+    cone = C.Cone.from_leaves(stein23, [Leaf(0, ((F(1, 3), F(1, 2)),))])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        basis, _ = C.witness_basis(stein23, [cone])
+    finally:
+        tracer.uninstall()
+    assert len(basis) == 6
+    metrics = tracer.metrics()
+    assert metrics["cones.witness_basis.calls"] == 1
+    assert metrics["terms.failed"] == 0
