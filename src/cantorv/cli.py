@@ -20,11 +20,18 @@ class UsageError(ValueError):
     pass
 
 
+def _int(raw: str, what: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{what} is not an integer: {raw!r}") from None
+
+
 def _cap(default: int | None = None) -> int | None:
     raw = os.environ.get("CANTORV_CAP")
     if raw is None:
         return default
-    return int(raw)
+    return _int(raw, "CANTORV_CAP")
 
 
 def _read(path: str) -> str:
@@ -61,7 +68,14 @@ def _load_group(spec: AlgebraSpec, path: str):
 
 
 def _parse_ints(raw: str) -> list[int]:
-    return [int(x) for x in raw.replace(",", " ").split()]
+    return [_int(x, "index") for x in raw.replace(",", " ").split()]
+
+
+def _leaf_at(b: Basis, index: int) -> terms.Leaf:
+    """The basis's leaf at a 0-based index; a negative index is out of range."""
+    if not 0 <= index < len(b):
+        raise TermError(f"leaf index {index} out of range for {len(b)} leaves")
+    return b.cells[index]
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +104,7 @@ def _cmd_spec_normalize(args) -> int:
 def _cmd_basis_expand(args) -> int:
     spec = _load_spec(args.spec)
     b = _load_basis(spec, args.file)
-    leaf = b.cells[args.leaf]
+    leaf = _leaf_at(b, args.leaf)
     _emit(args.out, terms.basis_to_text(terms.expand(b, leaf, args.color)))
     return 0
 
@@ -98,7 +112,7 @@ def _cmd_basis_expand(args) -> int:
 def _cmd_basis_contract(args) -> int:
     spec = _load_spec(args.spec)
     b = _load_basis(spec, args.file)
-    family = [b.cells[i] for i in _parse_ints(args.family)]
+    family = [_leaf_at(b, i) for i in _parse_ints(args.family)]
     _emit(args.out, terms.basis_to_text(terms.contract(b, family, args.color)))
     return 0
 

@@ -438,9 +438,9 @@ class Basis:
 
     ``trees`` maps each root to a split tree that replays to the basis's
     cells on that root; the k-th leaf of the trees, root by root, is
-    ``cells[leaf_order[k]]``.  ``expand``, ``lub`` and the images and
-    products of elements carry the trees they built, passing the cells in
-    their leaf order.  Every other constructor (``from_cells``,
+    ``cells[leaf_order[k]]``.  ``expand``, ``lub``, ``glb`` and the images
+    and products of elements carry the trees they built, passing the cells
+    in their leaf order.  Every other constructor (``from_cells``,
     ``from_cells_trusted``, ``roots`` and the bases of ``_search``: parsed
     bases, contractions, reductions, enumerations and cones) takes the
     canonical trees, the ``certificate``, and ``leaf_order`` is read off
@@ -754,17 +754,42 @@ def _canonical_bases(bases) -> list[Basis]:
 
 
 def glb(a: Basis, b: Basis) -> Basis:
-    """Greatest common coarsening: the join of all common lower bounds,
-    found by exhaustive contraction search below the smaller basis."""
+    """The greatest lower bound in the expansion order, the meet of the
+    two bases' split trees.  Below a cuboid X holding the cells A of a and
+    B of b, a common lower bound is the leaf X or a tree opening with a
+    colour whose children each hold admissible parts of A and of B, with a
+    common lower bound of the two parts below each child.  The glb is the
+    join of them all: the split by each colour that passes, with the meets
+    of its children, merged over the colours by ``_merge``, or the leaf X
+    if no colour passes (as when X is a cell of a or b).  Each cuboid fixes
+    its parts, so its meet is made once."""
     _require_same_spec(a, b)
     if a == b:
         return a
-    small, other = (a, b) if len(a) <= len(b) else (b, a)
-    candidates = [c for c in lower_closure(small) if leq(c, other)]
-    out = candidates[0]
-    for c in candidates[1:]:
-        out = lub(out, c)
-    return out
+    spec = a.spec
+    memo: dict[Leaf, tuple] = {}
+
+    def meet(cuboid: Leaf, xs, ys) -> tuple:
+        if cuboid in memo:
+            return memo[cuboid]
+        tree = _LEAF
+        for color in range(spec.num_colors):
+            sx = _split_assignment(spec, cuboid, xs, color)
+            sy = sx and _split_assignment(spec, cuboid, ys, color)
+            if sy is None:
+                continue
+            parts = [(p, frozenset(x), frozenset(y)) for p, x, y in zip(*sx, sy[1])]
+            if all(_admissible_pattern(spec, p, x) and _admissible_pattern(spec, p, y)
+                   for p, x, y in parts):
+                tree = _merge(spec, tree, ("split", color, tuple(meet(*p) for p in parts)))
+        memo[cuboid] = tree
+        return tree
+
+    trees, cells = {}, []
+    for r in range(spec.roots):
+        trees[r] = meet(root_leaf(spec, r), *([c for c in x.cells if c.root == r] for x in (a, b)))
+        _tree_cells(spec, root_leaf(spec, r), trees[r], cells)
+    return Basis(spec, cells, trees=trees)
 
 
 def _split_paths(a: Basis, b: Basis) -> list[tuple[Leaf, tuple[int, ...]]]:

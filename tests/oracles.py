@@ -3,13 +3,15 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last two are the engine's own
+lattice operations they cross-check.  The last three are the engine's own
 earlier loops, kept as references for the faster versions that replaced
-them: ``restart_reduce`` and ``stepwise_expansion_script``.
+them: ``restart_reduce``, ``stepwise_expansion_script`` and
+``search_glb``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -23,6 +25,9 @@ from cantorv.terms import (
     cells_admissible,
     enumerate_bases,
     expand,
+    leq,
+    lower_closure,
+    lub,
     root_leaf,
     sibling_families,
     split_leaf,
@@ -275,3 +280,22 @@ def stepwise_expansion_script(b: Basis) -> list[tuple[int, int]]:
                 break
         else:
             return script
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _bases_below(b: Basis) -> list[Basis]:
+    return lower_closure(b)
+
+
+def search_glb(a: Basis, b: Basis) -> Basis:
+    """Reference ``glb``: list every basis below the smaller argument by
+    contraction search (memoised per basis), keep those below the other,
+    and fold them with ``lub``."""
+    if a == b:
+        return a
+    small, other = (a, b) if len(a) <= len(b) else (b, a)
+    candidates = [c for c in _bases_below(small) if leq(c, other)]
+    out = candidates[0]
+    for c in candidates[1:]:
+        out = lub(out, c)
+    return out

@@ -3,6 +3,7 @@ import contextlib
 
 import pytest
 
+from cantorv import terms
 from cantorv.cli import run
 from cantorv.elements import (
     close_subgroup,
@@ -16,6 +17,7 @@ from cantorv.elements import (
 )
 from cantorv.terms import Basis, basis_to_text, expand, parse_basis_text
 from test_elements import FOUR_LEAF_CONJUGATE
+from test_terms import _balanced
 
 
 def _capture(argv):
@@ -113,6 +115,27 @@ def test_basis_leq_and_glb(tmp_path, spec_file, v21):
     assert out.strip() == "true"
     code, out = _capture(["basis", "glb", "--spec", spec_file, str(pa), str(pb)])
     assert parse_basis_text(v21, out) == x
+
+
+def test_basis_glb_and_core_of_deep_bases(tmp_path, spec_file, v21, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("glb listed a lower closure")
+
+    monkeypatch.setattr(terms, "lower_closure", no_search)
+    x = _balanced(v21, 5)
+    first = expand(x, x.cells[0], 0)
+    last = expand(x, x.cells[-1], 0)
+    both = expand(first, x.cells[-1], 0)
+    paths = {}
+    for name, b in (("x", x), ("first", first), ("last", last), ("both", both)):
+        paths[name] = tmp_path / f"{name}.basis"
+        paths[name].write_text(basis_to_text(b))
+    code, out = _capture(["basis", "glb", "--spec", spec_file, str(paths["first"]),
+                          str(paths["last"])])
+    assert code == 0 and out == basis_to_text(x)
+    code, out = _capture(["basis", "core", "--spec", spec_file, str(paths["x"]),
+                          str(paths["both"])])
+    assert code == 0 and out == basis_to_text(both)
 
 
 def test_basis_enumerate_cap(tmp_path, spec_file, monkeypatch):
@@ -348,13 +371,19 @@ def test_missing_file_is_domain_error(spec_file):
 
 # -- malformed numbers in file text ------------------------------------------
 
-def _assert_domain_error(argv):
+def _assert_typed_error(argv, expected):
+    """Exit code 1 with ``error: ...`` or 2 with ``usage error: ...``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
-    assert code == 1
-    assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+    prefix = {1: "error: ", 2: "usage error: "}[expected]
+    assert code == expected
+    assert any(line.startswith(prefix) for line in err.getvalue().splitlines())
     assert "Traceback" not in err.getvalue() + out.getvalue()
+
+
+def _assert_domain_error(argv):
+    _assert_typed_error(argv, 1)
 
 
 @pytest.mark.parametrize("line", [
@@ -398,3 +427,38 @@ def test_malformed_kernel_lines_are_domain_errors(tmp_path, spec_file, v21, text
             ["centralizer", cmd, "--spec", spec_file, "--group", str(grp),
              "--type", "regular", "--kernel", str(kern)]
         )
+
+
+# -- leaf indices and integers on the command line ---------------------------
+
+@pytest.fixture()
+def halves_file(tmp_path, v21):
+    x = Basis.roots(v21)
+    p = tmp_path / "h.basis"
+    p.write_text(basis_to_text(expand(x, x.cells[0], 0)))
+    return str(p)
+
+
+@pytest.mark.parametrize("cmd,option,value", [
+    ("expand", "--leaf", "9"),
+    ("expand", "--leaf", "-1"),
+    ("contract", "--family", "0,7"),
+    ("contract", "--family", "0,-1"),
+])
+def test_leaf_index_out_of_range_is_domain_error(spec_file, halves_file, cmd, option, value):
+    _assert_domain_error(
+        ["basis", cmd, "--spec", spec_file, halves_file, "--color", "0", option, value]
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "contract", "--color", "0", "--family", "x"],
+    ["elem", "perm", "--perm", "1,x", "--basis"],
+])
+def test_non_integer_index_list_is_usage_error(spec_file, halves_file, argv):
+    _assert_typed_error([*argv, halves_file, "--spec", spec_file], 2)
+
+
+def test_non_integer_cap_is_usage_error(spec_file, monkeypatch):
+    monkeypatch.setenv("CANTORV_CAP", "abc")
+    _assert_typed_error(["basis", "enumerate", "--spec", spec_file, "--max-size", "3"], 2)

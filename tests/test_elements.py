@@ -35,6 +35,7 @@ from cantorv.terms import (
     expand,
     expansion_script,
     find_ancestor,
+    glb,
     is_admissible,
     leq,
     lub,
@@ -618,7 +619,8 @@ def test_leaf_order_follows_the_trees_of_every_constructor(specs):
                 bases += [g.domain, g.range, finer, mid, _image(g, mid)[0], _image(g, finer)[0],
                           product.domain, product.range,
                           reduce(expand_diagram(g, finer)).range,
-                          Basis.from_cells(spec, finer.cells)]
+                          Basis.from_cells(spec, finer.cells),
+                          glb(g.domain, h.range), glb(mid, finer)]
             for b in bases:
                 _assert_leaf_order(b)
 

@@ -1,10 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from cantorv import terms
 from cantorv.algebra import parse_spec
+from cantorv.centralizer import quotient_spec
 from cantorv.terms import (
     Basis,
     Leaf,
@@ -39,7 +42,14 @@ from cantorv.terms import (
 )
 from cantorv.terms import _admissible_pattern, _split_assignment
 
-from oracles import enumerate_partitions, reachable_cellsets, reachable_from, replay_trees
+from conftest import SPEC_SOURCES
+from oracles import (
+    enumerate_partitions,
+    reachable_cellsets,
+    reachable_from,
+    replay_trees,
+    search_glb,
+)
 
 
 def _expand_all(basis, color):
@@ -304,6 +314,72 @@ def test_glb_of_halves_and_thirds_is_root(stein23):
 def test_glb_idempotent(v21):
     b = halves(v21)
     assert glb(b, b) == b
+
+
+def _with_quotients(spec):
+    """The spec on 1 root and its quotient specs on 2 and 3 roots."""
+    return (spec, quotient_spec(spec, 2), quotient_spec(spec, 3))
+
+
+def _assert_meets_match_search(a, b):
+    """``glb`` and, for comparable pairs, ``elementary_core`` against the
+    contraction-search reference."""
+    meet = glb(a, b)
+    assert meet == search_glb(a, b)
+    for lo, hi in ((a, b), (b, a)):
+        if meet == lo != hi:  # lo < hi
+            assert elementary_core(lo, hi) == search_glb(max_elementary(lo), hi)
+
+
+@pytest.mark.parametrize("name", list(SPEC_SOURCES))
+def test_glb_matches_search_reference_on_windows(specs, name):
+    for spec in _with_quotients(specs[name]):
+        for a, b in itertools.combinations(enumerate_bases(spec, 5), 2):
+            _assert_meets_match_search(a, b)
+
+
+def _random_expansion(b, steps, rng):
+    for _ in range(steps):
+        b = expand(b, rng.choice(b.cells), rng.randrange(b.spec.num_colors))
+    return b
+
+
+def test_glb_matches_search_reference_below_a_shared_prefix(specs):
+    # two random expansions of one random basis, past the size-5 window
+    rng = random.Random(18)
+    for spec in (q for base in specs.values() for q in _with_quotients(base)):
+        for _ in range(10):
+            prefix = _random_expansion(Basis.roots(spec), 2, rng)
+            a = _random_expansion(prefix, 3, rng)
+            b = _random_expansion(prefix, 3, rng)
+            _assert_meets_match_search(a, b)
+            _assert_meets_match_search(prefix, a)
+
+
+def _balanced(spec, depth):
+    b = Basis.roots(spec)
+    for _ in range(depth):
+        b = _expand_all(b, 0)
+    return b
+
+
+def test_glb_of_deep_bases_searches_no_lower_closure(v21, monkeypatch):
+    # the lower closure of these bases is far too large to list: fail at
+    # once if glb starts to list it
+    def no_search(*args, **kwargs):
+        raise AssertionError("glb listed a lower closure")
+
+    monkeypatch.setattr(terms, "lower_closure", no_search)
+    start = time.perf_counter()
+    for depth in (5, 8):
+        x = _balanced(v21, depth)
+        first = expand(x, x.cells[0], 0)
+        last = expand(x, x.cells[-1], 0)
+        assert glb(first, last) == x
+    x = _balanced(v21, 5)
+    both = expand(expand(x, x.cells[0], 0), x.cells[-1], 0)
+    assert elementary_core(x, both) == both
+    assert time.perf_counter() - start < 10.0
 
 
 # -- carried split trees and the tree-merge lub ------------------------------
