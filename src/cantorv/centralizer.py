@@ -9,8 +9,8 @@ copy of the group over one root per orbit of that type, acting diagonally.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec
@@ -49,7 +49,8 @@ class IterationCapExceededError(RuntimeError):
 
 
 class BruteForceCapError(RuntimeError):
-    """A brute-force enumeration (symmetric group scan) exceeded its cap."""
+    """A permutation problem is larger than its cap: |Y|! for the
+    normaliser, the orbit length for a letter centraliser."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +67,64 @@ def _perm_inv(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def _conjugate(pi, g):
+    """pi g pi^-1, which sends pi[i] to pi[g[i]]."""
+    out = [0] * len(g)
+    for i, v in enumerate(g):
+        out[pi[i]] = pi[v]
+    return tuple(out)
+
+
+def _cycles(p) -> list[tuple[int, ...]]:
+    """The cycles of a permutation, each from its least point."""
+    out, seen = [], set()
+    for i in range(len(p)):
+        if i not in seen:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            out.append(tuple(cycle))
+    return out
+
+
+def _cycle_type(p) -> tuple[int, ...]:
+    return tuple(sorted(map(len, _cycles(p))))
+
+
+def _centralizer_order(cycle_type) -> int:
+    """|C_{S_n}(p)| for p of the cycle type: the product of k^c c! over the
+    cycle lengths k, c cycles of each."""
+    return math.prod(k**c * math.factorial(c) for k, c in Counter(cycle_type).items())
+
+
+def _conjugators(s, t):
+    """Every permutation pi with pi s pi^-1 = t, each once.  Such a pi
+    carries each cycle (a_0 ... a_{k-1}) of s onto a cycle of t of the same
+    length, a_j to t^j(b) for some point b of it; so pi is a choice of the
+    target cycle and of b, made cycle by cycle.  There are |C_{S_n}(s)| of
+    them when s and t have one cycle type, and none otherwise."""
+    cs, ct = _cycles(s), _cycles(t)
+    pi = [0] * len(s)
+    free = [True] * len(ct)
+
+    def place(k):
+        if k == len(cs):
+            yield tuple(pi)
+            return
+        a = cs[k]
+        for j, b in enumerate(ct):
+            if free[j] and len(b) == len(a):
+                free[j] = False
+                for r in range(len(b)):
+                    for x, y in zip(a, b[r:] + b[:r]):
+                        pi[x] = y
+                    yield from place(k + 1)
+                free[j] = True
+
+    return place(0)
 
 
 class GroupData:
@@ -101,6 +160,32 @@ class GroupData:
             if self.conjugate_subgroup(h1, g) == h2:
                 return g
         return None
+
+    def generated(self, gens) -> set[int]:
+        """The subgroup the elements ``gens`` generate."""
+        span = {self.identity_index}
+        frontier = [self.identity_index]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = self.mult[g][x]
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        return span
+
+    def generating_set(self, first: int) -> list[int]:
+        """Elements that generate the group: ``first``, then each element,
+        in index order, that those before it do not generate."""
+        gens = [first]
+        span = self.generated(gens)
+        for g in range(len(self)):
+            if len(span) == len(self):
+                break
+            if g not in span:
+                gens.append(g)
+                span = self.generated(gens)
+        return gens
 
     def is_cyclic(self) -> bool:
         n = len(self.elements)
@@ -358,7 +443,9 @@ def type_centralizer_L(
     report: InvariantBasisReport, type_id: str, cap: int = 8
 ) -> tuple[tuple[int, ...], ...]:
     """All permutations of the orbit letters commuting with the type's
-    representation, by exhaustive scan of the symmetric group.
+    representation, sorted: the conjugators of one image element s to
+    itself, s of least centraliser in S_m, that commute with the whole
+    image; ``cap`` bounds the orbit length m.
 
     Cross-validated against the quotient description
     N_{P}(P_1)/P_1 for P the image and P_1 a point stabiliser, and against
@@ -368,12 +455,11 @@ def type_centralizer_L(
     m = tdata.m
     if m > cap:
         raise BruteForceCapError(f"orbit length {m} above brute-force cap {cap}")
-    image = {tdata.phi[gi] for gi in range(len(report.group))}
-    out = []
-    for perm in itertools.permutations(range(m)):
-        if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image):
-            out.append(perm)
-    result = tuple(sorted(out))
+    image = set(tdata.phi.values())
+    s = min(image, key=lambda p: _centralizer_order(_cycle_type(p)))
+    result = tuple(sorted(
+        pi for pi in _conjugators(s, s) if all(_conjugate(pi, g) == g for g in image)
+    ))
     stab1 = {s for s in image if s[0] == 0}
     normal = {
         s
@@ -594,40 +680,58 @@ class NormalizerReport:
 
 def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport:
     """Normaliser, centraliser and Weyl group of Q inside S(Y), the setwise
-    stabiliser of the minimal invariant basis Y.  The Weyl group of Q in V
-    can be larger: expanding a whole orbit changes the orbit-type counts,
-    so V may realise an automorphism of Q that swaps types whose counts
-    differ in Y."""
+    stabiliser of the minimal invariant basis Y; ``cap`` bounds |Y|!.
+
+    A normalising pi conjugates an image element s to an image element t
+    of s's cycle type, so the candidates are the conjugators of s to each
+    such t, for the s that makes them fewest: |C_{S_n}(s)| per t.  They
+    are distinct, so never more than |Y|!.  A candidate normalises when it
+    conjugates a generating set of the image that includes s into the
+    image: it then conjugates the whole image into it, and conjugation is
+    injective.  It centralises when it fixes each of those generators.
+    The coset representatives are the least element of each coset of C
+    in N.
+
+    The Weyl group of Q in V can be larger: expanding a whole orbit
+    changes the orbit-type counts, so V may realise an automorphism of Q
+    that swaps types whose counts differ in Y."""
     report = invariant_basis_report(q)
     y = report.basis
     n = len(y)
     if math.factorial(n) > cap:
         raise BruteForceCapError(f"|S(Y)| = {n}! exceeds cap {cap}")
-    image = {report.perms[gi] for gi in range(len(report.group))}
+    group = report.group
+    perms = report.perms
+    image = set(perms.values())
+    by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for p in image:
+        by_type.setdefault(_cycle_type(p), []).append(p)
+    candidates = {ct: _centralizer_order(ct) * len(ps) for ct, ps in by_type.items()}
+    si = min(range(len(group)), key=lambda gi: candidates[_cycle_type(perms[gi])])
+    gens = [perms[gi] for gi in group.generating_set(si)]
     normal: list[tuple[int, ...]] = []
     central: list[tuple[int, ...]] = []
-    for perm in itertools.permutations(range(n)):
-        # conjugation is injective, so conj(image) <= image means equality
-        inv = _perm_inv(perm)
-        if all(_perm_mul(_perm_mul(perm, s), inv) in image for s in image):
-            normal.append(perm)
-            if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image):
-                central.append(perm)
-    weyl = len(normal) // len(central)
-    central_set = set(central)
+    for t in by_type[_cycle_type(gens[0])]:
+        for pi in _conjugators(gens[0], t):
+            conj = [_conjugate(pi, g) for g in gens]
+            if all(c in image for c in conj):
+                normal.append(pi)
+                if conj == gens:
+                    central.append(pi)
+    normal.sort()
     reps: list[tuple[int, ...]] = []
     covered: set[tuple[int, ...]] = set()
-    for p in sorted(normal):
+    for p in normal:
         if p in covered:
             continue
         reps.append(p)
-        covered |= {_perm_mul(p, c) for c in central_set}
+        covered |= {_perm_mul(p, c) for c in central}
     return NormalizerReport(
         basis=y,
         sy_order=math.factorial(n),
         normalizer_order=len(normal),
         centralizer_order=len(central),
-        weyl_order=weyl,
+        weyl_order=len(normal) // len(central),
         coset_reps=tuple(reps),
     )
 

@@ -269,8 +269,10 @@ def order_of(g: Element, cap: int):
 def permutation_element(b: Basis, perm) -> Element:
     """The automorphism permuting the leaves of one basis."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(len(b))):
+    if len(perm) != len(b):
         raise TermError("permutation does not match basis size")
+    if set(perm) != set(range(len(b))):
+        raise TermError(f"permutation must list each of 0..{len(b) - 1} once")
     return Element(b.spec, b, b, perm)
 
 

@@ -438,13 +438,14 @@ class Basis:
 
     ``trees`` maps each root to a split tree that replays to the basis's
     cells on that root; the k-th leaf of the trees, root by root, is
-    ``cells[leaf_order[k]]``.  ``expand``, ``lub``, ``glb`` and the images
-    and products of elements carry the trees they built, passing the cells
-    in their leaf order.  Every other constructor (``from_cells``,
-    ``from_cells_trusted``, ``roots`` and the bases of ``_search``: parsed
-    bases, contractions, reductions, enumerations and cones) takes the
-    canonical trees, the ``certificate``, and ``leaf_order`` is read off
-    them on first use.  The certificate is a function of the cells alone.
+    ``cells[leaf_order[k]]``.  ``expand``, ``max_elementary``, ``lub``,
+    ``glb`` and the images and products of elements carry the trees they
+    built, passing the cells in their leaf order.  Every other constructor
+    (``from_cells``, ``from_cells_trusted``, ``roots`` and the bases of
+    ``_search``: parsed bases, contractions, reductions, enumerations and
+    cones) takes the canonical trees, the ``certificate``, and
+    ``leaf_order`` is read off them on first use.  The certificate is a
+    function of the cells alone.
     """
 
     __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_order", "_hash")
@@ -602,7 +603,10 @@ def parent_of_family(spec: AlgebraSpec, family, color: int) -> Leaf | None:
 
 def contract(b: Basis, family, color: int) -> Basis:
     """Replace a complete sibling family along ``color`` by its parent."""
+    family = list(family)
     fam = set(family)
+    if len(fam) != len(family):
+        raise TermError("repeated leaf in family")
     if not fam <= b.cellset():
         raise TermError("family not contained in basis")
     parent = parent_of_family(b.spec, fam, color)
@@ -813,12 +817,17 @@ def very_elementary_leq(a: Basis, b: Basis) -> bool:
 
 def max_elementary(a: Basis) -> Basis:
     """Split every leaf once by every colour: the largest elementary
-    refinement, of size len(a) * product of all arities."""
+    refinement, of size len(a) * product of all arities.  One tree that
+    splits by each colour in turn is grafted onto every leaf of a's trees."""
     spec = a.spec
-    cells = list(a.cells)
-    for color in range(spec.num_colors):
-        cells = [child for c in cells for child in split_leaf(spec, c, color)]
-    return Basis.from_cells(spec, cells)
+    full = _LEAF
+    for color in reversed(range(spec.num_colors)):
+        full = ("split", color, (full,) * spec.arity(color))
+    trees = {r: _graft(a.trees[r], itertools.repeat(full)) for r in range(spec.roots)}
+    cells: list[Leaf] = []
+    for r in range(spec.roots):
+        _tree_cells(spec, root_leaf(spec, r), trees[r], cells)
+    return Basis(spec, cells, trees=trees)
 
 
 def elementary_core(a: Basis, b: Basis) -> Basis:

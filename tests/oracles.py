@@ -3,19 +3,26 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last three are the engine's own
+lattice operations they cross-check.  The last five are the engine's own
 earlier loops, kept as references for the faster versions that replaced
-them: ``restart_reduce``, ``stepwise_expansion_script`` and
-``search_glb``.
+them: ``restart_reduce``, ``stepwise_expansion_script``, ``search_glb``,
+``scan_normalizer`` and ``scan_letter_centralizer``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
+from cantorv.centralizer import (
+    NormalizerReport,
+    _perm_inv,
+    _perm_mul,
+    invariant_basis_report,
+)
 from cantorv.elements import Element, _from_mapping
 from cantorv.terms import (
     Basis,
@@ -299,3 +306,49 @@ def search_glb(a: Basis, b: Basis) -> Basis:
     for c in candidates[1:]:
         out = lub(out, c)
     return out
+
+
+def scan_normalizer(q) -> NormalizerReport:
+    """Reference ``normalizer_analysis``: test every permutation of the
+    minimal invariant basis Y for normalising and centralising the image
+    of Q in S(Y)."""
+    report = invariant_basis_report(q)
+    y = report.basis
+    n = len(y)
+    image = set(report.perms.values())
+    normal = []
+    central = []
+    for perm in itertools.permutations(range(n)):
+        # conjugation is injective, so conj(image) <= image means equality
+        inv = _perm_inv(perm)
+        if all(_perm_mul(_perm_mul(perm, s), inv) in image for s in image):
+            normal.append(perm)
+            if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image):
+                central.append(perm)
+    reps = []
+    covered = set()
+    for p in sorted(normal):
+        if p in covered:
+            continue
+        reps.append(p)
+        covered |= {_perm_mul(p, c) for c in central}
+    return NormalizerReport(
+        basis=y,
+        sy_order=math.factorial(n),
+        normalizer_order=len(normal),
+        centralizer_order=len(central),
+        weyl_order=len(normal) // len(central),
+        coset_reps=tuple(reps),
+    )
+
+
+def scan_letter_centralizer(report, type_id: str) -> tuple[tuple[int, ...], ...]:
+    """Reference ``type_centralizer_L``: every permutation of the orbit
+    letters that commutes with the type's representation, sorted."""
+    tdata = report.types[type_id]
+    image = set(tdata.phi.values())
+    return tuple(
+        perm
+        for perm in itertools.permutations(range(tdata.m))
+        if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image)
+    )

@@ -31,6 +31,7 @@ from cantorv.centralizer import (
 )
 from cantorv.cones import cone_equals, act as cone_act
 from cantorv.elements import (
+    CapExceededError,
     close_subgroup,
     compose,
     equals,
@@ -53,6 +54,8 @@ from cantorv.terms import (
     max_elementary,
     split_leaf,
 )
+
+from oracles import scan_letter_centralizer, scan_normalizer
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -641,6 +644,89 @@ def test_normalizer_matches_set_scan(v21, v31, benchmark_subgroups):
         rep = normalizer_analysis(q)
         assert (rep.normalizer_order, rep.centralizer_order) == _normalizer_by_set_scan(q)
         assert rep.basis is invariant_basis_report(q).basis
+
+
+def psl27_generators(v21):
+    """Generators of PSL(2, 7), 168 elements, acting on the projective line
+    over F_7: the points 0..6 and infinity are the leaves of the balanced
+    v21 basis with 8 leaves, and the generators are x + 1 and -1/x."""
+    b = Basis.roots(v21)
+    for _ in range(3):
+        for cell in list(b.cells):
+            b = expand(b, cell, 0)
+    shift = [(x + 1) % 7 for x in range(7)] + [7]
+    inverse = [7] + [-pow(x, -1, 7) % 7 for x in range(1, 7)] + [0]
+    return [permutation_element(b, shift), permutation_element(b, inverse)]
+
+
+@pytest.fixture(scope="module")
+def psl27(v21):
+    return close_subgroup(psl27_generators(v21), 200)
+
+
+def _random_subgroups(v21):
+    """Subgroups generated by one or two seeded random permutations of a
+    basis with 3 to 8 leaves, of v21, v31 or v21 with two roots; those
+    above 64 elements are skipped."""
+    pools = [
+        [b for b in enumerate_bases(spec, 8) if len(b) >= 3]
+        for spec in (v21, parse_spec("roots=1; block[3]"), parse_spec("roots=2; block[2]"))
+    ]
+    out = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        b = rng.choice(rng.choice(pools))
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            perm = list(range(len(b)))
+            rng.shuffle(perm)
+            gens.append(permutation_element(b, perm))
+        try:
+            out.append(close_subgroup(gens, 64))
+        except CapExceededError:
+            pass
+    return out
+
+
+def test_normalizer_and_letter_centralizers_match_scans(v21, v31, benchmark_subgroups, psl27):
+    groups = [q for q, _ in _reference_groups(v21, v31)]
+    groups.append(close_subgroup([identity(v21)], 4))
+    groups += [
+        q for q, y in benchmark_subgroups if len(minimize_invariant_basis(y, q)) <= 7
+    ]
+    randoms = _random_subgroups(v21)
+    assert len(randoms) >= 20
+    assert max(len(invariant_basis_report(q).basis) for q in randoms) == 8
+    assert len(psl27) == 168
+    for q in groups + randoms + [psl27]:
+        assert normalizer_analysis(q).lines() == scan_normalizer(q).lines()
+        report = invariant_basis_report(q)
+        for tid in report.types:
+            assert type_centralizer_L(report, tid) == scan_letter_centralizer(report, tid)
+
+
+def test_caps_keep_their_meaning(psl27):
+    # the normaliser's cap bounds |Y|!, the letter centraliser's the orbit
+    # length m, not the number of candidates either one tests
+    with pytest.raises(BruteForceCapError, match=r"^\|S\(Y\)\| = 8! exceeds cap 40319$"):
+        normalizer_analysis(psl27, cap=40319)
+    assert normalizer_analysis(psl27, cap=40320).normalizer_order == 336
+    report = invariant_basis_report(psl27)
+    (tid,) = report.types
+    with pytest.raises(BruteForceCapError, match="^orbit length 8 above brute-force cap 7$"):
+        type_centralizer_L(report, tid, cap=7)
+    assert type_centralizer_L(report, tid, cap=8) == (tuple(range(8)),)
+
+
+def test_conjugators_are_the_conjugating_permutations():
+    perms = list(itertools.permutations(range(5)))
+    for s in perms[::7]:
+        for t in perms[::11]:
+            found = list(Z._conjugators(s, t))
+            assert len(found) == len(set(found))
+            assert set(found) == {
+                pi for pi in perms if _perm_mul(_perm_mul(pi, s), _perm_inv(pi)) == t
+            }
 
 
 # -- the shared invariant-basis report --------------------------------------------

@@ -16,6 +16,8 @@ from cantorv.elements import (
     random_element,
 )
 from cantorv.terms import Basis, basis_to_text, expand, parse_basis_text
+from oracles import scan_normalizer
+from test_centralizer import psl27_generators
 from test_elements import FOUR_LEAF_CONJUGATE
 from test_terms import _balanced
 
@@ -332,6 +334,21 @@ def test_normalizer_cli(tmp_path, data_dir, v31):
     assert "weyl=2" in out
 
 
+def test_normalizer_cli_on_eight_leaves_matches_the_scan(tmp_path, spec_file, v21):
+    gens = psl27_generators(v21)
+    grp = tmp_path / "psl27.grp"
+    grp.write_text("--\n".join(element_to_text(g) for g in gens))
+    argv = ["normalizer", "analyze", "--spec", spec_file, "--group", str(grp)]
+    code, out = _capture(argv)
+    assert code == 0
+    assert out.splitlines() == scan_normalizer(close_subgroup(gens, 200)).lines()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _capture([*argv, "--cap", "40319"])
+    assert (code, out) == (1, "")
+    assert err.getvalue() == "error: |S(Y)| = 8! exceeds cap 40319\n"
+
+
 def test_stein_cli(spec_file):
     code, out = _capture(["stein", "build", "--spec", spec_file, "--size-cap", "2"])
     assert code == 0
@@ -449,6 +466,22 @@ def test_leaf_index_out_of_range_is_domain_error(spec_file, halves_file, cmd, op
     _assert_domain_error(
         ["basis", cmd, "--spec", spec_file, halves_file, "--color", "0", option, value]
     )
+
+
+def test_repeated_family_index_is_domain_error(spec_file, halves_file):
+    _assert_domain_error(
+        ["basis", "contract", "--spec", spec_file, halves_file, "--color", "0", "--family", "0,1,1"]
+    )
+
+
+def test_permutation_entry_out_of_range_names_the_entries(spec_file, halves_file):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = _capture(
+            ["elem", "perm", "--spec", spec_file, "--basis", halves_file, "--perm", "1,5"]
+        )
+    assert (code, out) == (1, "")
+    assert err.getvalue() == "error: permutation must list each of 0..1 once\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -245,8 +245,14 @@ def test_transposition_order_two(v21):
 
 
 def test_permutation_size_mismatch(v21):
-    with pytest.raises(TermError):
+    with pytest.raises(TermError, match="^permutation does not match basis size$"):
         permutation_element(_halves(v21), [0, 2, 1])
+
+
+@pytest.mark.parametrize("perm", [[1, 5], [1, 1], [0, -1]])
+def test_permutation_entries_out_of_range_or_repeated(v21, perm):
+    with pytest.raises(TermError, match=r"^permutation must list each of 0\.\.1 once$"):
+        permutation_element(_halves(v21), perm)
 
 
 # -- represent_on -------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from cantorv import terms
 from cantorv.algebra import parse_spec
 from cantorv.centralizer import quotient_spec
+from cantorv.elements import random_element
 from cantorv.terms import (
     Basis,
     Leaf,
@@ -110,6 +111,12 @@ def test_contract_rejects_non_family(v21):
     b = expand(b, b.cells[0], 0)
     with pytest.raises(TermError):
         contract(b, [b.cells[0], b.cells[2]], 0)
+
+
+def test_contract_rejects_repeated_leaf(v21):
+    h = halves(v21)
+    with pytest.raises(TermError, match="repeated leaf"):
+        contract(h, [h.cells[0], h.cells[1], h.cells[1]], 0)
 
 
 def test_expand_rejects_foreign_leaf(v21, v31):
@@ -584,6 +591,23 @@ def test_max_elementary_sizes(specs):
         assert elementary_leq(x, e)
         b = expand(x, x.cells[0], 0)
         assert len(max_elementary(b)) == len(b) * prod
+
+
+def test_max_elementary_carries_valid_trees(specs):
+    # reference: every leaf split by each colour in turn, certified from
+    # the bare cells
+    for base in specs.values():
+        for spec in (base, quotient_spec(base, 2)):
+            bases = enumerate_bases(spec, spec.roots + 3)
+            bases += [random_element(spec, spec.roots + 6, seed).domain for seed in range(3)]
+            for b in bases:
+                cells = list(b.cells)
+                for color in range(spec.num_colors):
+                    cells = [child for c in cells for child in split_leaf(spec, c, color)]
+                e = max_elementary(b)
+                assert e == Basis.from_cells(spec, cells)
+                assert replay_trees(e) == [e.cells[i] for i in e.leaf_order]
+                assert sorted(e.leaf_order) == list(range(len(e)))
 
 
 def test_max_elementary_dominates_elementary_descendants(stein23):
