@@ -3,7 +3,11 @@
 
 For each spec and basis size t, tabulate link vertex counts, the
 very-elementary sublink against the model complex, case counts, and the
-homology of every case-i uplink (expected: reduced homology vanishes).
+homology of every case-i uplink (expected: reduced homology vanishes);
+then the reduced GF(2) Betti numbers of the model complexes and of the
+descending links themselves.  The last table shows Brown's criterion at
+work: the reduced homology of the t-link vanishes up to a degree that
+grows with t.
 
 Usage: python scripts/survey_links.py [--max-t 6]
 """
@@ -17,6 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from cantorv.algebra import parse_spec
 from cantorv.stein import (
     classify_vertex,
+    descending_link,
     h_descending_link,
     homology,
     l0_matches_model,
@@ -68,6 +73,15 @@ def main() -> None:
                 continue
             rep = homology(kn)
             print(f"{name}\t{n}\t{kn.f_vector()}\t{rep.betti_gf2}")
+
+    print("\ndescending link Betti numbers (reduced, GF(2)):")
+    print("spec\tt\tf_vector\tbetti")
+    for name, src in SPECS.items():
+        spec = parse_spec(src)
+        for t in range(2, args.max_t + 1):
+            link = descending_link(spec, t)
+            rep = homology(link)
+            print(f"{name}\t{t}\t{link.f_vector()}\t{rep.betti_gf2}")
 
 
 if __name__ == "__main__":

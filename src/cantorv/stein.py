@@ -231,44 +231,67 @@ class ChainComplexReport:
         return all(v == 0 for v in self.betti_gf2.values())
 
 
-def _gf2_rank(rows: list[int]) -> int:
-    """Rank over GF(2) of bitmask rows, with pivots keyed by leading bit."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            row ^= pivot
-    return len(pivots)
+def _reduce_gf2(d: int, faces, pivots: dict[int, set[int]]) -> None:
+    """Reduce the GF(2) boundary column of a d-simplex, given by the indices
+    of its faces, against ``pivots`` (keyed by each column's largest face),
+    and add it there unless it reduces to zero."""
+    column = set(faces)
+    while column:
+        low = max(column)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = column
+            return
+        column ^= pivot
 
 
-def _rational_rank(rows: list[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows ``{column: entry}``, by
-    fraction-free elimination with pivots keyed by leading column."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
-        while row:
-            lead = max(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                break
-            g = math.gcd(pivot[lead], row[lead])
-            a, b = pivot[lead] // g, row[lead] // g
-            new = {c: a * x for c, x in row.items()}
-            for c, x in pivot.items():
-                y = new.get(c, 0) - b * x
-                if y:
-                    new[c] = y
-                else:
-                    del new[c]
-            g = math.gcd(*new.values())
-            row = {c: x // g for c, x in new.items()} if g > 1 else new
-    return len(pivots)
+def _reduce_rational(d: int, faces, pivots: dict[int, dict[int, int]]) -> None:
+    """The same over Q, by fraction-free elimination on ``{face: entry}``
+    columns.  Faces come in ``itertools.combinations`` order, so the k-th
+    omits vertex d - k and has sign (-1)^(d - k)."""
+    column = {f: -1 if (d - k) % 2 else 1 for k, f in enumerate(faces)}
+    while column:
+        low = max(column)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = column
+            return
+        g = math.gcd(pivot[low], column[low])
+        a, b = pivot[low] // g, column[low] // g
+        new = {c: a * x for c, x in column.items()}
+        for c, x in pivot.items():
+            y = new.get(c, 0) - b * x
+            if y:
+                new[c] = y
+            else:
+                del new[c]
+        g = math.gcd(*new.values())
+        column = {c: x // g for c, x in new.items()} if g > 1 else new
+
+
+def _boundary_ranks(simplices: dict[int, list[tuple]], reduce_column) -> dict[int, int]:
+    """The rank of each boundary map of a non-empty complex, by column
+    reduction from the top dimension down with clearing (Chen and Kerber,
+    "Persistent homology computation with a twist", 2011): a d-simplex that
+    is the pivot of a reduced (d+1)-column never gets a column.
+
+    That is exact for plain ranks.  The reduced column R is a boundary, so
+    ∂R = 0 puts the pivot's column in the span of the columns of R's other,
+    smaller simplices; by induction every cleared column lies in the span
+    of the built ones.  So a face missing from the complex, being a face of
+    another simplex of R too, still shows as a KeyError in a built column.
+    Dimension 0 bounds the empty simplex, rank 1."""
+    ranks = {0: 1}
+    cleared: dict = {}
+    for d in range(max(simplices), 0, -1):
+        index = {s: i for i, s in enumerate(simplices.get(d - 1, ()))}.__getitem__
+        pivots: dict = {}
+        for k, s in enumerate(simplices[d]):
+            if k not in cleared:
+                reduce_column(d, map(index, itertools.combinations(s, d)), pivots)
+        ranks[d] = len(pivots)
+        cleared = pivots
+    return ranks
 
 
 def homology(
@@ -276,11 +299,12 @@ def homology(
 ) -> ChainComplexReport:
     """Reduced Betti numbers via boundary-matrix ranks.
 
-    Exact integer elimination: over GF(2) on bitmask rows by default, and
-    over Q on sparse integer rows on demand, to catch 2-torsion masking.
-    Dimension -1 reports the reduced homology of the empty complex.
-    Raises ComplexError if the ranks give a negative Betti number or a
-    rational Betti number above the GF(2) one.
+    Exact elimination on sparse columns of face indices, with clearing
+    (``_boundary_ranks``): over GF(2) by default, and over Q on demand, to
+    catch 2-torsion masking.  Dimension -1 reports the reduced homology of
+    the empty complex.  Raises ComplexError if the complex is not closed
+    under faces, if the ranks give a negative Betti number, or if a
+    rational Betti number is above the GF(2) one.
     """
     if complex_.is_empty():
         report = {-1: 1}
@@ -290,31 +314,22 @@ def homology(
             euler=0,
         )
     simplices = complex_._tuples
-    top = max(simplices)
-    sizes = {d: len(simplices.get(d, [])) for d in range(top + 1)}
-    # the boundary of each d-simplex as the indices of its faces, in the
-    # order of its vertices; dimension 0 bounds the empty simplex, index 0
-    faces: dict[int, list[list[int]]] = {0: [[0]] * sizes[0]}
-    for d in range(1, top + 1):
-        lower = {s: i for i, s in enumerate(simplices[d - 1])}
-        faces[d] = [[lower[s[:i] + s[i + 1 :]] for i in range(d + 1)] for s in simplices[d]]
+    sizes = {d: len(simplices.get(d, ())) for d in range(max(simplices) + 1)}
 
-    def betti(ranks: dict[int, int]) -> dict[int, int]:
-        out = {d: sizes[d] - ranks[d] - ranks.get(d + 1, 0) for d in range(top + 1)}
+    def betti(reduce_column) -> dict[int, int]:
+        try:
+            ranks = _boundary_ranks(simplices, reduce_column)
+        except KeyError:
+            raise ComplexError("the complex is not closed under faces") from None
+        out = {d: n - ranks[d] - ranks.get(d + 1, 0) for d, n in sizes.items()}
         if any(b < 0 for b in out.values()):
             raise ComplexError("boundary ranks exceed the chain group sizes")
         return out
 
-    betti_gf2 = betti({
-        d: _gf2_rank([sum(1 << j for j in row) for row in rows])
-        for d, rows in faces.items()
-    })
+    betti_gf2 = betti(_reduce_gf2)
     betti_rat = None
     if rational:
-        betti_rat = betti({
-            d: _rational_rank([{j: (-1) ** i for i, j in enumerate(row)} for row in rows])
-            for d, rows in faces.items()
-        })
+        betti_rat = betti(_reduce_rational)
         if any(betti_rat[d] > betti_gf2[d] for d in betti_rat):
             raise ComplexError("a rational Betti number exceeds the GF(2) one")
     return ChainComplexReport(

@@ -3,10 +3,12 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last five are the engine's own
+lattice operations they cross-check.  The last six are the engine's own
 earlier loops, kept as references for the faster versions that replaced
 them: ``restart_reduce``, ``stepwise_expansion_script``, ``search_glb``,
-``scan_normalizer`` and ``scan_letter_centralizer``.
+``scan_normalizer``, ``scan_letter_centralizer`` and ``dense_homology``
+(every face list of every dimension, ranked as dense rows by ``_gf2_rank``
+and ``_rational_rank``, with no clearing).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from cantorv.centralizer import (
     invariant_basis_report,
 )
 from cantorv.elements import Element, _from_mapping
+from cantorv.stein import ChainComplexReport, ComplexError, SimplicialComplex
 from cantorv.terms import (
     Basis,
     Leaf,
@@ -351,4 +354,92 @@ def scan_letter_centralizer(report, type_id: str) -> tuple[tuple[int, ...], ...]
         perm
         for perm in itertools.permutations(range(tdata.m))
         if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image)
+    )
+
+
+def _gf2_rank(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows, with pivots keyed by leading bit."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    return len(pivots)
+
+
+def _rational_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows ``{column: entry}``, by
+    fraction-free elimination with pivots keyed by leading column."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            g = math.gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            new = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = new.get(c, 0) - b * x
+                if y:
+                    new[c] = y
+                else:
+                    del new[c]
+            g = math.gcd(*new.values())
+            row = {c: x // g for c, x in new.items()} if g > 1 else new
+    return len(pivots)
+
+
+def dense_homology(
+    complex_: SimplicialComplex, rational: bool = False
+) -> ChainComplexReport:
+    """Reference ``homology``: build the face list of every simplex of every
+    dimension, turn each into a bitmask row (GF(2)) or a ``{face: ±1}`` row
+    (Q), and rank every boundary matrix in full."""
+    if complex_.is_empty():
+        report = {-1: 1}
+        return ChainComplexReport(
+            betti_gf2=dict(report),
+            betti_rational=dict(report) if rational else None,
+            euler=0,
+        )
+    simplices = complex_._tuples
+    top = max(simplices)
+    sizes = {d: len(simplices.get(d, [])) for d in range(top + 1)}
+    # the boundary of each d-simplex as the indices of its faces, in the
+    # order of its vertices; dimension 0 bounds the empty simplex, index 0
+    faces: dict[int, list[list[int]]] = {0: [[0]] * sizes[0]}
+    for d in range(1, top + 1):
+        lower = {s: i for i, s in enumerate(simplices[d - 1])}
+        faces[d] = [[lower[s[:i] + s[i + 1 :]] for i in range(d + 1)] for s in simplices[d]]
+
+    def betti(ranks: dict[int, int]) -> dict[int, int]:
+        out = {d: sizes[d] - ranks[d] - ranks.get(d + 1, 0) for d in range(top + 1)}
+        if any(b < 0 for b in out.values()):
+            raise ComplexError("boundary ranks exceed the chain group sizes")
+        return out
+
+    betti_gf2 = betti({
+        d: _gf2_rank([sum(1 << j for j in row) for row in rows])
+        for d, rows in faces.items()
+    })
+    betti_rat = None
+    if rational:
+        betti_rat = betti({
+            d: _rational_rank([{j: (-1) ** i for i, j in enumerate(row)} for row in rows])
+            for d, rows in faces.items()
+        })
+        if any(betti_rat[d] > betti_gf2[d] for d in betti_rat):
+            raise ComplexError("a rational Betti number exceeds the GF(2) one")
+    return ChainComplexReport(
+        betti_gf2=betti_gf2,
+        betti_rational=betti_rat,
+        euler=complex_.euler_characteristic(),
     )

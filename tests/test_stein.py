@@ -8,8 +8,6 @@ import cantorv.stein as stein_module
 from cantorv.stein import (
     ComplexError,
     SimplicialComplex,
-    _gf2_rank,
-    _rational_rank,
     build_stein,
     classify_vertex,
     coarsening_vertex,
@@ -27,6 +25,7 @@ from cantorv.stein import (
 )
 from cantorv.terms import Basis, enumerate_bases, expand, leq, elementary_leq
 from conftest import SPEC_SOURCES
+from oracles import _gf2_rank, _rational_rank, dense_homology
 
 
 def _expand_all(basis, color):
@@ -100,19 +99,57 @@ def test_projective_plane_has_2_torsion():
     assert rep.betti_rational == {0: 0, 1: 0, 2: 0}
 
 
+def _overcount(reduce_column):
+    # one spurious pivot per dimension, whatever the columns
+    def wrong(d, faces, pivots):
+        reduce_column(d, faces, pivots)
+        pivots.setdefault(-1, {})
+    return wrong
+
+
+def _undercount(reduce_column):
+    # the first column of each dimension is dropped unreduced
+    seen = set()
+
+    def wrong(d, faces, pivots):
+        if d in seen:
+            reduce_column(d, faces, pivots)
+        seen.add(d)
+    return wrong
+
+
 @pytest.mark.parametrize(
-    "name, wrong",
-    [("_gf2_rank", lambda rank: lambda rows: rank(rows) + 1),
-     ("_rational_rank", lambda rank: lambda rows: max(rank(rows) - 1, 0))],
+    "name, wrong, message",
+    [("_reduce_gf2", _overcount, "ranks exceed the chain group sizes"),
+     ("_reduce_rational", _undercount, "rational Betti number exceeds")],
     ids=["gf2_overcount", "rational_undercount"],
 )
-def test_homology_rejects_inconsistent_ranks(monkeypatch, name, wrong):
+def test_homology_rejects_inconsistent_ranks(monkeypatch, name, wrong, message):
     # an overcounted GF(2) rank makes a Betti number negative; an
     # undercounted rational rank puts a rational Betti number above GF(2)
     cx = SimplicialComplex.from_maximal([frozenset((0, 1, 2))])
     monkeypatch.setattr(stein_module, name, wrong(getattr(stein_module, name)))
-    with pytest.raises(ComplexError):
-        homology(cx, rational=name == "_rational_rank")
+    with pytest.raises(ComplexError, match=message):
+        homology(cx, rational=name == "_reduce_rational")
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [
+        {1: [frozenset({0, 1})]},
+        {0: [frozenset({0}), frozenset({1})], 1: [frozenset({0, 2})]},
+        # the triangle clears the edge {1, 2}, whose column is never built;
+        # the missing vertex 2 still shows in the column of {0, 2}
+        {0: [frozenset({0}), frozenset({1})],
+         1: [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})],
+         2: [frozenset({0, 1, 2})]},
+    ],
+    ids=["no_vertices", "missing_vertex", "missing_vertex_of_cleared_edge"],
+)
+@pytest.mark.parametrize("rational", [False, True])
+def test_homology_rejects_complex_not_closed_under_faces(simplices, rational):
+    with pytest.raises(ComplexError, match="not closed under faces"):
+        homology(SimplicialComplex(simplices), rational=rational)
 
 
 def _dense_rank(matrix, reduce):
@@ -151,6 +188,62 @@ def test_gf2_rank_matches_dense_elimination(matrix):
 def test_rational_rank_matches_dense_elimination(matrix):
     rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
     assert _rational_rank(rows) == _dense_rank(matrix, Fraction)
+
+
+def _assert_same_homology(cx, rational=True):
+    got, want = homology(cx, rational=rational), dense_homology(cx, rational=rational)
+    assert (got.betti_gf2, got.betti_rational, got.euler) == (
+        want.betti_gf2, want.betti_rational, want.euler
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_homology_matches_dense_reference_on_catalogue(specs, name):
+    # the complexes the topology benchmark ranks: links and very-elementary
+    # links for t = 4-6, the complex-of-bases windows, and the h-links of
+    # the case-i vertices at t = 6
+    spec = specs[name]
+    complexes = []
+    for t in range(4, 7):
+        complexes += [descending_link(spec, t), very_elementary_link(spec, t)]
+    for cap in (4, 5) if name in ("2v", "mixed232") else (4, 5, 6):
+        complexes.append(build_stein(spec, cap))
+    for v in link_vertices(spec, 6):
+        if classify_vertex(spec, v) == "i":
+            rep = h_descending_link(spec, 6, v)
+            complexes += [rep.uplink, rep.downlink]
+    for cx in complexes:
+        _assert_same_homology(cx)
+
+
+def test_homology_matches_dense_reference_on_models_and_surfaces(specs):
+    for spec in specs.values():
+        for n in range(1, 8):
+            _assert_same_homology(model_Kn(spec, n))
+    rp2 = "123 134 145 156 162 235 346 452 563 624".split()
+    # the 7-vertex torus
+    torus = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    torus += [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+    for facets in (rp2, torus):
+        _assert_same_homology(SimplicialComplex.from_maximal(map(frozenset, facets)))
+
+
+def test_homology_matches_dense_reference_on_2v_link_at_seven_leaves(brin2v):
+    _assert_same_homology(descending_link(brin2v, 7), rational=False)
+
+
+@given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_dense_reference_from_maximal(maximal):
+    _assert_same_homology(SimplicialComplex.from_maximal(maximal))
+
+
+@given(st.integers(0, 9).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+))
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_dense_reference_on_flag_complexes(neighbours):
+    _assert_same_homology(SimplicialComplex.flag(list(range(len(neighbours))), neighbours))
 
 
 # -- model complex ----------------------------------------------------------
