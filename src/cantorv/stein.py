@@ -47,18 +47,32 @@ class SimplicialComplex:
     The order follows reprs, not values: equal frozensets built in a
     different insertion order can have different reprs, and then list
     their simplices differently.  Code that builds link vertices inserts
-    their blocks by least leaf, as ``link_vertices`` does.
+    their blocks by least leaf, as ``link_vertices`` does.  ``flag``
+    renders a frozenset vertex from memoised member reprs, which gives the
+    same strings as long as equal members have equal reprs, as they do in
+    every vertex the engine builds.
+
+    The constructor raises ComplexError unless each simplex is listed in
+    its own dimension and every face of it is listed too.
     """
 
     def __init__(self, simplices_by_dim: dict[int, list[frozenset]]):
         verts = sorted({v for ss in simplices_by_dim.values() for s in ss for v in s}, key=repr)
         index = {v: i for i, v in enumerate(verts)}
         self._verts = verts
-        self._tuples = {
+        self._tuples = tuples = {
             d: sorted({tuple(sorted(index[v] for v in s)) for s in ss})
             for d, ss in simplices_by_dim.items()
             if ss
         }
+        # the facets of every simplex suffice: their faces are checked in turn
+        for d, ss in tuples.items():
+            if any(len(s) != d + 1 for s in ss):
+                raise ComplexError(f"a simplex listed in dimension {d} has another size")
+            if d > 0:
+                faces = set(tuples.get(d - 1, ()))
+                if not all(f in faces for s in ss for f in itertools.combinations(s, d)):
+                    raise ComplexError("the complex is not closed under faces")
 
     @classmethod
     def _of(cls, verts: list, tuples: dict[int, list[tuple]]) -> "SimplicialComplex":
@@ -92,12 +106,13 @@ class SimplicialComplex:
         """All cliques of the graph where bit j of ``neighbours[i]`` or bit
         i of ``neighbours[j]`` joins vertices i and j.
 
-        The vertices are put in repr order and each edge is kept as a bit
-        of its lower end's mask of higher neighbours.  Cliques grow one
-        dimension at a time, each by the vertices after its last one that
-        are adjacent to all of it, so every dimension comes out in
-        lexicographic order."""
-        reprs = [repr(v) for v in vertices]
+        The vertices are put in repr order, by ``_reprs``, and each edge is
+        kept as a bit of its lower end's mask of higher neighbours.  Cliques
+        grow one dimension at a time, each by the vertices after its last
+        one that are adjacent to all of it, so every dimension comes out in
+        lexicographic order.  The result is face-closed by construction and
+        is not checked again."""
+        reprs = _reprs(vertices)
         order = sorted(range(len(reprs)), key=reprs.__getitem__)
         new = [0] * len(order)
         for k, i in enumerate(order):
@@ -179,6 +194,31 @@ class SimplicialComplex:
             if ra != rb:
                 parent[ra] = rb
         return len({find(s[0]) for s in self._tuples.get(0, [])})
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _reprs(vertices) -> list[str]:
+    """``[repr(v) for v in vertices]``, with the repr of each distinct
+    member of the frozenset vertices taken once: a non-empty frozenset's
+    repr joins its members' reprs, in iteration order, inside
+    ``frozenset({...})``.  Equal members are taken to have equal reprs."""
+    member = _Memo(repr).__getitem__
+    return [
+        "frozenset({" + ", ".join(map(member, v)) + "})" if type(v) is frozenset and v
+        else repr(v)
+        for v in vertices
+    ]
 
 
 def _bits(mask: int):
@@ -278,9 +318,7 @@ def _boundary_ranks(simplices: dict[int, list[tuple]], reduce_column) -> dict[in
     That is exact for plain ranks.  The reduced column R is a boundary, so
     ∂R = 0 puts the pivot's column in the span of the columns of R's other,
     smaller simplices; by induction every cleared column lies in the span
-    of the built ones.  So a face missing from the complex, being a face of
-    another simplex of R too, still shows as a KeyError in a built column.
-    Dimension 0 bounds the empty simplex, rank 1."""
+    of the built ones.  Dimension 0 bounds the empty simplex, rank 1."""
     ranks = {0: 1}
     cleared: dict = {}
     for d in range(max(simplices), 0, -1):
@@ -302,9 +340,8 @@ def homology(
     Exact elimination on sparse columns of face indices, with clearing
     (``_boundary_ranks``): over GF(2) by default, and over Q on demand, to
     catch 2-torsion masking.  Dimension -1 reports the reduced homology of
-    the empty complex.  Raises ComplexError if the complex is not closed
-    under faces, if the ranks give a negative Betti number, or if a
-    rational Betti number is above the GF(2) one.
+    the empty complex.  Raises ComplexError if the ranks give a negative
+    Betti number, or if a rational Betti number is above the GF(2) one.
     """
     if complex_.is_empty():
         report = {-1: 1}
@@ -317,10 +354,7 @@ def homology(
     sizes = {d: len(simplices.get(d, ())) for d in range(max(simplices) + 1)}
 
     def betti(reduce_column) -> dict[int, int]:
-        try:
-            ranks = _boundary_ranks(simplices, reduce_column)
-        except KeyError:
-            raise ComplexError("the complex is not closed under faces") from None
+        ranks = _boundary_ranks(simplices, reduce_column)
         out = {d: n - ranks[d] - ranks.get(d + 1, 0) for d, n in sizes.items()}
         if any(b < 0 for b in out.values()):
             raise ComplexError("boundary ranks exceed the chain group sizes")
@@ -458,12 +492,15 @@ def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozens
     positions into blocks, at least one of them coloured; ``very`` keeps
     single-colour blocks only."""
     choices = [(cs, n) for cs, n in _block_choices(spec) if not very or len(cs) <= 1]
-    out = [
-        frozenset(blocks)
-        for blocks in _partitions(frozenset(range(t)), choices)
+    parts = [
+        blocks for blocks in _partitions(frozenset(range(t)), choices)
         if any(cs for _, cs in blocks)
     ]
-    return sorted(out, key=lambda v: sorted((sorted(ls), sorted(cs)) for ls, cs in v))
+    # vertices sort by their sorted (leaves, colours) block lists; blocks
+    # come by least leaf, which is already that order
+    key = _Memo(lambda block: (sorted(block[0]), sorted(block[1]))).__getitem__
+    parts.sort(key=lambda blocks: list(map(key, blocks)))
+    return [frozenset(blocks) for blocks in parts]
 
 
 def vertex_le(u: frozenset, v: frozenset) -> bool:

@@ -445,7 +445,9 @@ class Basis:
     ``_search``: parsed bases, contractions, reductions, enumerations and
     cones) takes the canonical trees, the ``certificate``, and
     ``leaf_order`` is read off them on first use.  The certificate is a
-    function of the cells alone.
+    function of the cells alone and is computed on first read when none is
+    passed; enumerations and lower closures (``_search``) pass none, since
+    their moves yield admissible cell sets only.
     """
 
     __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_order", "_hash")
@@ -731,8 +733,8 @@ def lower_closure(b: Basis, cap: int | None = None) -> list[Basis]:
 
 def _search(start: Basis, moves, cap: int | None, what: str) -> list[Basis]:
     """Every basis that ``moves`` reaches from ``start``, breadth first, in
-    canonical order.  ``moves(b)`` yields candidate cell sets; those that
-    are not admissible are dropped."""
+    canonical order.  ``moves(b)`` yields admissible cell sets only: the
+    search builds each new one as a basis and certifies none of them."""
     spec = start.spec
     seen = {start.cellset(): start}
     queue = deque([start])
@@ -740,10 +742,7 @@ def _search(start: Basis, moves, cap: int | None, what: str) -> list[Basis]:
         for cells in moves(queue.popleft()):
             if cells in seen:
                 continue
-            cert = _certificate(spec, cells)
-            if cert is None:
-                continue
-            seen[cells] = nxt = Basis(spec, cells, cert)
+            seen[cells] = nxt = Basis(spec, cells)
             if cap is not None and len(seen) > cap:
                 raise ResourceCapError(f"{what} exceeded cap")
             queue.append(nxt)
@@ -851,7 +850,8 @@ def enumerate_bases(spec: AlgebraSpec, max_size: int, cap: int | None = None) ->
 def _single_splits(b: Basis, max_size: int):
     """The cell sets of the bases one split of one leaf of ``b`` reaches,
     those with at most ``max_size`` leaves: the covers of ``b`` in the
-    expansion order, restricted to that window."""
+    expansion order, restricted to that window.  Each is admissible, being
+    reached from the roots by splits if ``b`` is."""
     spec = b.spec
     cells = b.cellset()
     for leaf in b.cells:
@@ -862,11 +862,13 @@ def _single_splits(b: Basis, max_size: int):
 
 
 def _single_contractions(b: Basis):
-    """The cell sets one contraction of a sibling family of ``b`` gives;
-    some of them may not be admissible."""
+    """The admissible cell sets one contraction of a sibling family of
+    ``b`` gives; the others are dropped."""
     cells = b.cellset()
     for _, fam, parent in sibling_families(b.spec, b.cells):
-        yield cells.difference(fam) | {parent}
+        out = cells.difference(fam) | {parent}
+        if cells_admissible(b.spec, out):
+            yield out
 
 
 # ---------------------------------------------------------------------------

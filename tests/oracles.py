@@ -3,9 +3,10 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last six are the engine's own
+lattice operations they cross-check.  The last seven are the engine's own
 earlier loops, kept as references for the faster versions that replaced
-them: ``restart_reduce``, ``stepwise_expansion_script``, ``search_glb``,
+them: ``certified_enumerate``, ``restart_reduce``,
+``stepwise_expansion_script``, ``search_glb``,
 ``scan_normalizer``, ``scan_letter_centralizer`` and ``dense_homology``
 (every face list of every dimension, ranked as dense rows by ``_gf2_rank``
 and ``_rational_rank``, with no clearing).
@@ -16,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
@@ -30,7 +32,10 @@ from cantorv.stein import ChainComplexReport, ComplexError, SimplicialComplex
 from cantorv.terms import (
     Basis,
     Leaf,
+    _canonical_bases,
+    _certificate,
     _parent,
+    _single_splits,
     canonical_order,
     cells_admissible,
     enumerate_bases,
@@ -233,6 +238,25 @@ def replay_trees(b: Basis) -> list[Leaf]:
     for r in range(spec.roots):
         walk(root_leaf(spec, r), b.trees[r])
     return out
+
+
+def certified_enumerate(spec: AlgebraSpec, max_size: int) -> list[Basis]:
+    """Reference ``enumerate_bases``: breadth first over single splits from
+    the roots, certifying each new cell set and handing its basis the
+    certificate."""
+    start = Basis.roots(spec)
+    seen = {start.cellset(): start}
+    queue = deque([start])
+    while queue:
+        for cells in _single_splits(queue.popleft(), max_size):
+            if cells in seen:
+                continue
+            cert = _certificate(spec, cells)
+            if cert is None:
+                continue
+            seen[cells] = nxt = Basis(spec, cells, cert)
+            queue.append(nxt)
+    return _canonical_bases(seen.values())
 
 
 def restart_reduce(g: Element) -> Element:

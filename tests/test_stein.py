@@ -138,8 +138,8 @@ def test_homology_rejects_inconsistent_ranks(monkeypatch, name, wrong, message):
     [
         {1: [frozenset({0, 1})]},
         {0: [frozenset({0}), frozenset({1})], 1: [frozenset({0, 2})]},
-        # the triangle clears the edge {1, 2}, whose column is never built;
-        # the missing vertex 2 still shows in the column of {0, 2}
+        # homology would clear the edge {1, 2} and never build its column;
+        # the constructor rejects the complex before that
         {0: [frozenset({0}), frozenset({1})],
          1: [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})],
          2: [frozenset({0, 1, 2})]},
@@ -150,6 +150,22 @@ def test_homology_rejects_inconsistent_ranks(monkeypatch, name, wrong, message):
 def test_homology_rejects_complex_not_closed_under_faces(simplices, rational):
     with pytest.raises(ComplexError, match="not closed under faces"):
         homology(SimplicialComplex(simplices), rational=rational)
+
+
+@pytest.mark.parametrize(
+    "simplices, message",
+    [
+        ({1: [frozenset({0, 1})]}, "not closed under faces"),
+        ({0: [frozenset({0}), frozenset({1})],
+          1: [frozenset({0, 1})],
+          2: [frozenset({0, 1, 2})]}, "not closed under faces"),
+        ({0: [frozenset({0, 1})]}, "listed in dimension 0 has another size"),
+    ],
+    ids=["no_vertices", "missing_edges", "wrong_dimension"],
+)
+def test_constructor_rejects_malformed_complex(simplices, message):
+    with pytest.raises(ComplexError, match=message):
+        SimplicialComplex(simplices)
 
 
 def _dense_rank(matrix, reduce):
@@ -375,6 +391,44 @@ def test_simplex_order_is_by_vertex_reprs(v21, stein23):
         for d, simplices in cx.simplices.items():
             assert simplices == sorted(simplices, key=lambda s: sorted(repr(v) for v in s))
         assert cx.vertices() == sorted(cx.vertices(), key=repr)
+
+
+def test_flag_reprs_match_plain_reprs(specs, monkeypatch):
+    # flag sorts vertices by memoised member reprs; they must be the reprs
+    received = []
+    memoised = stein_module._reprs
+    monkeypatch.setattr(
+        stein_module, "_reprs", lambda vertices: received.append(vertices) or memoised(vertices)
+    )
+    for spec in specs.values():
+        for t in range(1, 7):
+            descending_link(spec, t)
+            very_elementary_link(spec, t)
+            model_Kn(spec, t).barycentric_subdivision()
+            build_stein(spec, t)
+            for vertex in link_vertices(spec, t):
+                h_descending_link(spec, t, vertex)
+    assert len(received) > 1000
+    nested = frozenset({frozenset({(0, frozenset({1, 2}))}), frozenset(), "a"})
+    received.append([frozenset(), nested, frozenset({nested, 3}), (frozenset(),), 7])
+    for vertices in received:
+        assert memoised(vertices) == [repr(v) for v in vertices]
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_link_vertices_keep_order_and_reprs(specs, name):
+    # sorted by their sorted (leaves, colours) block lists, each inserting
+    # its blocks by least leaf
+    spec = specs[name]
+    for t in range(1, 7):
+        for very in (False, True):
+            verts = link_vertices(spec, t, very=very)
+            assert verts == sorted(
+                verts, key=lambda v: sorted((sorted(ls), sorted(cs)) for ls, cs in v)
+            )
+            assert [repr(v) for v in verts] == [
+                repr(frozenset(sorted(v, key=lambda block: min(block[0])))) for v in verts
+            ]
 
 
 # -- flag complexes against the generic constructor ---------------------------

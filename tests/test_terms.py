@@ -45,6 +45,7 @@ from cantorv.terms import _admissible_pattern, _split_assignment
 
 from conftest import SPEC_SOURCES
 from oracles import (
+    certified_enumerate,
     enumerate_partitions,
     reachable_cellsets,
     reachable_from,
@@ -681,6 +682,26 @@ def test_enumeration_cap_is_exact(stein23):
     assert enumerate_bases(stein23, 5, cap=len(bases)) == bases
     with pytest.raises(ResourceCapError):
         enumerate_bases(stein23, 5, cap=len(bases) - 1)
+
+
+def test_enumeration_matches_certified_search(specs):
+    for spec in specs.values():
+        got = enumerate_bases(spec, spec.roots + 5)
+        want = certified_enumerate(spec, spec.roots + 5)
+        assert [b.cells for b in got] == [b.cells for b in want]
+        for b, c in zip(got, want):
+            assert b.certificate == c.certificate
+            assert b.trees == c.trees
+
+
+def test_enumeration_certifies_nothing(specs, monkeypatch):
+    # every cell set reached by splits from the roots is admissible
+    calls = []
+    certificate = terms._certificate
+    monkeypatch.setattr(terms, "_certificate", lambda *a: calls.append(a) or certificate(*a))
+    for spec in specs.values():
+        assert enumerate_bases(spec, spec.roots + 4)
+    assert calls == []
 
 
 def test_lower_closure_is_the_interval_below(stein23, brin2v):

@@ -27,6 +27,7 @@ EXPECTED_SPANS = [
     "terms.sibling_families",
     "terms.basis_build",
     "terms.expand",
+    "terms.enumerate_bases",
     "elements.reduce",
     "elements.equals",
     "elements.close_subgroup",
