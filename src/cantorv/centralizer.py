@@ -148,19 +148,6 @@ class GroupData:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def conjugate_subgroup(self, h: frozenset[int], g: int) -> frozenset[int]:
-        gi = self.inv[g]
-        return frozenset(self.mult[self.mult[g][x]][gi] for x in h)
-
-    def subgroups_conjugate(self, h1: frozenset[int], h2: frozenset[int]) -> int | None:
-        """Least conjugator index with g h1 g^-1 == h2, or None."""
-        if len(h1) != len(h2):
-            return None
-        for g in range(len(self.elements)):
-            if self.conjugate_subgroup(h1, g) == h2:
-                return g
-        return None
-
     def generated(self, gens) -> set[int]:
         """The subgroup the elements ``gens`` generate."""
         span = {self.identity_index}
@@ -204,15 +191,19 @@ class GroupData:
 # invariant bases
 # ---------------------------------------------------------------------------
 
-def invariant_basis(q: FiniteSubgroup, max_iter: int = 64) -> Basis:
+INVARIANT_BASIS_ROUNDS = 64
+
+
+def invariant_basis(q: FiniteSubgroup) -> Basis:
     """A basis fixed setwise by every element of q.
 
     Iterates Y <- lub(Y, images of the refined Y through each element) until
-    the basis stabilises; the fixed point is provably invariant.
+    the basis stabilises, for at most ``INVARIANT_BASIS_ROUNDS`` rounds; the
+    fixed point is provably invariant.
     """
     spec = q.spec
     y = Basis.roots(spec)
-    for _ in range(max_iter):
+    for _ in range(INVARIANT_BASIS_ROUNDS):
         acc = y
         for g in q.elements:
             mid = lub(g.domain, y)
@@ -224,7 +215,7 @@ def invariant_basis(q: FiniteSubgroup, max_iter: int = 64) -> Basis:
                 )
             return y
         y = acc
-    raise IterationCapExceededError(f"no invariant basis within {max_iter} rounds")
+    raise IterationCapExceededError(f"no invariant basis within {INVARIANT_BASIS_ROUNDS} rounds")
 
 
 def _generator_perms(q: FiniteSubgroup, y: Basis) -> list[tuple[int, ...]] | None:
@@ -346,10 +337,14 @@ class InvariantBasisReport:
 def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     """Split an invariant basis into orbits and classify their types.
 
-    Types are identified by point-stabiliser conjugacy; the marked element
-    of each orbit is its canonically least leaf, and every orbit of a type
-    is numbered compatibly with the type's reference orbit, so one
-    permutation representation serves all of them.
+    ``perms`` holds the whole group, so a position's orbit is its set of
+    images, and each position's stabiliser is read off once.  Types are
+    the point stabilisers up to conjugacy: an orbit joins the first
+    reference orbit some g carries onto a position with the orbit's
+    marked stabiliser, since Stab(g r) = g Stab(r) g^-1.  The marked
+    element of each orbit is its canonically least leaf, and every orbit
+    of a type is numbered compatibly with the type's reference orbit, so
+    one permutation representation serves all of them.
     """
     perms: dict[int, tuple[int, ...]] = {}
     for gi, g in enumerate(q.elements):
@@ -358,28 +353,22 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
             raise TermError("basis is not invariant under the subgroup")
         perms[gi] = rep[1]
     group = GroupData(q, list(perms.values()))
-    n = len(y)
+    stab = [frozenset(gi for gi, p in perms.items() if p[x] == x) for x in range(len(y))]
     seen: set[int] = set()
     orbits: list[OrbitData] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        orbit = frozenset().union(*_orbit(frozenset((start,)), perms.values()))
-        seen |= orbit
-        indices = tuple(sorted(orbit))
-        marked = indices[0]
-        stab = frozenset(gi for gi, p in perms.items() if p[marked] == marked)
-        orbits.append(OrbitData(indices=indices, marked=marked, stabilizer=stab))
+    for start in range(len(y)):
+        if start not in seen:
+            indices = tuple(sorted({p[start] for p in perms.values()}))
+            seen.update(indices)
+            orbits.append(OrbitData(indices=indices, marked=start, stabilizer=stab[start]))
 
     types: dict[str, TypeData] = {}
     refs: list[OrbitData] = []  # the reference orbit of each type
     for oid, orb in enumerate(orbits):
-        assigned = None
-        for ref in refs:
-            g0 = group.subgroups_conjugate(ref.stabilizer, orb.stabilizer)
-            if g0 is not None:
-                assigned = ref
-                break
+        # the first reference orbit, and the least g0 for it, with
+        # g0 stab(ref_marked) g0^-1 = stab(g0(ref_marked)) = stab(marked)
+        assigned, g0 = next(((ref, g) for ref in refs for g, p in perms.items()
+                             if stab[p[ref.marked]] == orb.stabilizer), (None, None))
         if assigned is None:
             # new type: reference numbering is the canonical position order
             orb.numbering = orb.indices
@@ -402,8 +391,8 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
             orb.type_id = assigned.type_id
             tdata = types[orb.type_id]
             # Transport the reference numbering through the equivariant
-            # bijection sending marked -> g0(ref_marked), which exists since
-            # stab(marked) = g0 stab(ref_marked) g0^-1.
+            # bijection sending t = g0(ref_marked) to marked, which exists
+            # since stab(t) = stab(marked).
             t = perms[g0][assigned.marked]
             numbering = [0] * tdata.m
             pos_to_letter_ref = {pos: k for k, pos in enumerate(assigned.numbering)}

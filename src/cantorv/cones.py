@@ -25,7 +25,6 @@ from .terms import (
     boxes_intersect,
     canonical_order,
     check_leaf,
-    expand,
     leaf_contains,
     leaf_to_text,
     lub,
@@ -145,6 +144,8 @@ class Cone:
 
     @staticmethod
     def from_leaves(spec: AlgebraSpec, leaves) -> "Cone":
+        """The cone of outside cells: each is validated, and overlapping
+        cells are normalised through their union."""
         cells = list(dict.fromkeys(leaves))
         for c in cells:
             check_leaf(spec, c)
@@ -257,7 +258,8 @@ def _grid_basis(spec: AlgebraSpec, cells) -> Basis:
 
 
 def act(g: Element, u: Cone) -> Cone:
-    """The image cone; supports map leafwise through the diagram."""
+    """The image cone; supports map leafwise through the diagram, onto
+    disjoint cells of one basis, which are contracted unchecked."""
     if g.spec != u.spec:
         raise ConeError("element and cone belong to different specs")
     if u.is_empty():
@@ -270,7 +272,7 @@ def act(g: Element, u: Cone) -> Cone:
         for cell in mid.cells
         if any(leaf_contains(s, cell) for s in u.cells)
     ]
-    return Cone.from_leaves(u.spec, images)
+    return Cone(u.spec, _contract_support(u.spec, images))
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +338,28 @@ def tuple_witness(t1: ConeTuple, t2: ConeTuple) -> Element | None:
     """An element carrying t1 to t2 componentwise, when the invariants match.
 
     Supports are laid out on witness bases; component sizes agree mod d, so
-    both sides are padded by splitting moves until the counts match exactly,
-    then the matched cells are paired off in canonical order.
+    both sides' cone parts are padded by splitting cells until the counts
+    match exactly, then the matched cells are paired off in canonical
+    order.  Nothing reads the witness bases after the layout, so padding
+    does not rebuild them.
     """
     if tuple_classify(t1) != tuple_classify(t2):
         return None
     spec = t1.spec
-    basis1, parts1 = witness_basis(spec, list(t1.cones))
-    basis2, parts2 = witness_basis(spec, list(t2.cones))
+    _, parts1 = witness_basis(spec, list(t1.cones))
+    _, parts2 = witness_basis(spec, list(t2.cones))
     steps = sorted({spec.arity(c) - 1 for c in range(spec.num_colors)})
     step_colors = {
         spec.arity(c) - 1: c for c in range(spec.num_colors - 1, -1, -1)
     }
 
-    def pad(basis: Basis, parts: list[list[Leaf]], i: int, combo: list[int]) -> Basis:
+    def pad(part: list[Leaf], combo: list[int]) -> None:
         for count, step in zip(combo, steps):
             color = step_colors[step]
             for _ in range(count):
-                cell = canonical_order(parts[i])[0]
-                basis = expand(basis, cell, color)
-                parts[i].remove(cell)
-                parts[i].extend(split_leaf(spec, cell, color))
-        return basis
+                cell = canonical_order(part)[0]
+                part.remove(cell)
+                part.extend(split_leaf(spec, cell, color))
 
     for i in range(len(t1.cones)):
         a, b = len(parts1[i]), len(parts2[i])
@@ -370,8 +372,8 @@ def tuple_witness(t1: ConeTuple, t2: ConeTuple) -> Element | None:
             if ca is not None and cb is not None:
                 break
             target += spec.d
-        basis1 = pad(basis1, parts1, i, ca)
-        basis2 = pad(basis2, parts2, i, cb)
+        pad(parts1[i], ca)
+        pad(parts2[i], cb)
     mapping: dict[Leaf, Leaf] = {}
     for cells1, cells2 in zip(parts1, parts2):
         mapping.update(zip(canonical_order(cells1), canonical_order(cells2)))
@@ -396,7 +398,9 @@ def disjointify(t: ConeTuple) -> ConeTuple:
     """Refine a covering tuple into the covering, disjoint tuple indexed by
     nonempty subsets of the components, in binary-counter order.
 
-    Slot S collects the points lying in exactly the components of S.
+    Slot S collects the points lying in exactly the components of S: the
+    grid cells of the sweep's boxes with mask S, which are valid and
+    pairwise disjoint, so they are contracted unchecked.
     """
     if not t.covering:
         raise ConeError("disjointify requires a covering tuple")
@@ -409,10 +413,10 @@ def disjointify(t: ConeTuple) -> ConeTuple:
             if mask == 0:
                 raise ConeError("covering flag inconsistent with cells")
             label_cells.setdefault(mask, []).extend(_box_to_cells(spec, r, box))
-    out = []
-    for mask in range(1, 2**n):
-        out.append(Cone.from_leaves(spec, label_cells.get(mask, [])))
-    return ConeTuple(spec, out)
+    slots = (label_cells.get(mask) for mask in range(1, 2**n))
+    return ConeTuple(spec, [
+        Cone(spec, _contract_support(spec, cells)) if cells else Cone.empty(spec) for cells in slots
+    ])
 
 
 # ---------------------------------------------------------------------------

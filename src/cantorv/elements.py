@@ -32,6 +32,7 @@ from .terms import (
     sibling_families,
     split_leaf,
     transport,
+    _certificate,
     _clip,
     _graft,
     _merge,
@@ -287,7 +288,9 @@ def represent_on(g: Element, y: Basis):
 
     Succeeds iff for every y-leaf there is a target cell such that g acts on
     everything below that leaf by plain relative-coordinate transport onto
-    the target; returns (range basis, index map) or None.
+    the target, and the targets are admissible; returns (range basis, index
+    map) or None.  The targets are the images of y's leaves, so they
+    partition the roots: they are certified, not validated as outside input.
     """
     if g.spec != y.spec:
         raise TermError("element and basis belong to different specs")
@@ -309,10 +312,10 @@ def represent_on(g: Element, y: Basis):
             if images[c] != transport(cell, target, c):
                 return None
         targets.append(target)
-    try:
-        rng = Basis.from_cells(spec, targets)
-    except TermError:
+    cert = _certificate(spec, targets)
+    if cert is None:
         return None
+    rng = Basis(spec, targets, cert)
     return rng, tuple(rng.index_of(t) for t in targets)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import and_, or_
 
 from .algebra import AlgebraSpec
@@ -196,24 +196,12 @@ class SimplicialComplex:
         return len({find(s[0]) for s in self._tuples.get(0, [])})
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)``."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _reprs(vertices) -> list[str]:
     """``[repr(v) for v in vertices]``, with the repr of each distinct
     member of the frozenset vertices taken once: a non-empty frozenset's
     repr joins its members' reprs, in iteration order, inside
     ``frozenset({...})``.  Equal members are taken to have equal reprs."""
-    member = _Memo(repr).__getitem__
+    member = cache(repr)
     return [
         "frozenset({" + ", ".join(map(member, v)) + "})" if type(v) is frozenset and v
         else repr(v)
@@ -498,7 +486,7 @@ def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozens
     ]
     # vertices sort by their sorted (leaves, colours) block lists; blocks
     # come by least leaf, which is already that order
-    key = _Memo(lambda block: (sorted(block[0]), sorted(block[1]))).__getitem__
+    key = cache(lambda block: (sorted(block[0]), sorted(block[1])))
     parts.sort(key=lambda blocks: list(map(key, blocks)))
     return [frozenset(blocks) for blocks in parts]
 

@@ -3,11 +3,13 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last seven are the engine's own
+lattice operations they cross-check.  The last eight are the engine's own
 earlier loops, kept as references for the faster versions that replaced
 them: ``certified_enumerate``, ``restart_reduce``,
 ``stepwise_expansion_script``, ``search_glb``,
-``scan_normalizer``, ``scan_letter_centralizer`` and ``dense_homology``
+``scan_normalizer``, ``scan_letter_centralizer``,
+``conjugation_orbit_types`` (orbits searched point by point, types
+found by conjugating whole stabilisers) and ``dense_homology``
 (every face list of every dimension, ranked as dense rows by ``_gf2_rank``
 and ``_rational_rank``, with no clearing).
 """
@@ -22,12 +24,17 @@ from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
 from cantorv.centralizer import (
+    GroupData,
+    InvariantBasisReport,
     NormalizerReport,
+    OrbitData,
+    TypeData,
+    _orbit,
     _perm_inv,
     _perm_mul,
     invariant_basis_report,
 )
-from cantorv.elements import Element, _from_mapping
+from cantorv.elements import Element, _from_mapping, represent_on
 from cantorv.stein import ChainComplexReport, ComplexError, SimplicialComplex
 from cantorv.terms import (
     Basis,
@@ -379,6 +386,67 @@ def scan_letter_centralizer(report, type_id: str) -> tuple[tuple[int, ...], ...]
         for perm in itertools.permutations(range(tdata.m))
         if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image)
     )
+
+
+def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
+    """Reference ``orbit_types``: each orbit is searched from its least
+    position by ``_orbit``, and an orbit joins the first reference orbit
+    whose marked stabiliser some g conjugates onto its own, for the least
+    such g, found by conjugating the whole stabiliser by each g in turn."""
+    perms = {gi: represent_on(g, y)[1] for gi, g in enumerate(q.elements)}
+    group = GroupData(q, list(perms.values()))
+
+    def conjugator(h1, h2):
+        for g in range(len(group)):
+            gi = group.inv[g]
+            if frozenset(group.mult[group.mult[g][x]][gi] for x in h1) == h2:
+                return g
+        return None
+
+    seen: set[int] = set()
+    orbits: list[OrbitData] = []
+    for start in range(len(y)):
+        if start in seen:
+            continue
+        orbit = frozenset().union(*_orbit(frozenset((start,)), perms.values()))
+        seen |= orbit
+        indices = tuple(sorted(orbit))
+        marked = indices[0]
+        stab = frozenset(gi for gi, p in perms.items() if p[marked] == marked)
+        orbits.append(OrbitData(indices=indices, marked=marked, stabilizer=stab))
+    types: dict[str, TypeData] = {}
+    refs: list[OrbitData] = []
+    for oid, orb in enumerate(orbits):
+        found = [
+            (ref, g0) for ref in refs
+            if (g0 := conjugator(ref.stabilizer, orb.stabilizer)) is not None
+        ]
+        if not found:
+            orb.numbering = orb.indices
+            m = len(orb.indices)
+            letter = {pos: k for k, pos in enumerate(orb.numbering)}
+            phi = {gi: tuple(letter[p[pos]] for pos in orb.numbering) for gi, p in perms.items()}
+            if m == 1:
+                tid = "trivial"
+            elif len(orb.stabilizer) == 1 and m == len(group):
+                tid = "regular"
+            else:
+                tid = f"type{len(refs)}"
+            orb.type_id = tid
+            types[tid] = TypeData(type_id=tid, m=m, orbit_ids=(oid,), phi=phi)
+            refs.append(orb)
+            continue
+        ref, g0 = found[0]
+        orb.type_id = ref.type_id
+        tdata = types[ref.type_id]
+        t = perms[g0][ref.marked]
+        letter = {pos: k for k, pos in enumerate(ref.numbering)}
+        numbering = [0] * tdata.m
+        for p in perms.values():
+            numbering[letter[p[t]]] = p[orb.marked]
+        orb.numbering = tuple(numbering)
+        tdata.orbit_ids += (oid,)
+    return InvariantBasisReport(basis=y, group=group, perms=perms, orbits=orbits, types=types)
 
 
 def _gf2_rank(rows: list[int]) -> int:

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import itertools
 import pathlib
@@ -7,6 +8,9 @@ import sys
 import pytest
 
 import cantorv.centralizer as Z
+import cantorv.cones as C
+import cantorv.elements as E
+import cantorv.terms as T
 from cantorv.centralizer import (
     BruteForceCapError,
     GroupData,
@@ -55,7 +59,7 @@ from cantorv.terms import (
     split_leaf,
 )
 
-from oracles import scan_letter_centralizer, scan_normalizer
+from oracles import conjugation_orbit_types, scan_letter_centralizer, scan_normalizer
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -705,6 +709,23 @@ def test_normalizer_and_letter_centralizers_match_scans(v21, v31, benchmark_subg
             assert type_centralizer_L(report, tid) == scan_letter_centralizer(report, tid)
 
 
+def _orbit_type_signature(report):
+    orbits = [(o.indices, o.marked, o.stabilizer, o.type_id, o.numbering) for o in report.orbits]
+    types = [(tid, t.m, t.orbit_ids, t.phi) for tid, t in report.types.items()]
+    return orbits, types
+
+
+def test_orbit_types_match_conjugation_reference(v21, v31, benchmark_subgroups, psl27):
+    # on the basis the iteration stops at and on the minimal one
+    cases = _reference_groups(v21, v31) + benchmark_subgroups
+    cases += [(q, invariant_basis(q)) for q in _random_subgroups(v21) + [psl27]]
+    for q, y in cases:
+        for basis in (y, invariant_basis_report(q).basis):
+            assert _orbit_type_signature(orbit_types(basis, q)) == _orbit_type_signature(
+                conjugation_orbit_types(basis, q)
+            )
+
+
 def test_caps_keep_their_meaning(psl27):
     # the normaliser's cap bounds |Y|!, the letter centraliser's the orbit
     # length m, not the number of candidates either one tests
@@ -796,3 +817,52 @@ def test_decompose_handles_root_swaps():
     decomposition = decompose_fixing_element(rep, swap)
     assert decomposition is not None
     assert decomposition["trivial"][1] == (1, 0)
+
+
+def _count_calls_beneath(monkeypatch, callers):
+    """Count the calls of ``Basis.from_cells``, ``expand``, ``check_leaf``
+    and ``boxes_intersect`` made while a function named in ``callers`` is
+    on the stack, keyed (callee, caller).  Every module's binding of a
+    function is wrapped, as the benchmark's tracer does."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            frame, on_stack = sys._getframe(1), set()
+            while frame is not None:
+                on_stack.add(frame.f_code.co_name)
+                frame = frame.f_back
+            for caller in callers & on_stack:
+                counts[name, caller] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Basis, "from_cells", staticmethod(counting("from_cells", Basis.from_cells)))
+    for name in ("expand", "check_leaf", "boxes_intersect"):
+        original = getattr(T, name)
+        wrapper = counting(name, original)
+        for module in (T, E, C, Z):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_engine_made_cells_are_not_revalidated(benchmark_subgroups, monkeypatch):
+    callers = {"represent_on", "tuple_witness", "act", "disjointify", "from_leaves"}
+    counts = _count_calls_beneath(monkeypatch, callers)
+    for q, _ in benchmark_subgroups[::24]:
+        spec = q.spec
+        gen = q.generators[0]
+        centralizer_structure(close_subgroup([gen], 64))  # a fresh report
+        cells = gen.domain.cells
+        t = C.ConeTuple(spec, [C.Cone.from_leaves(spec, cells[k::2]) for k in (0, 1)])
+        assert C.tuple_witness(t, C.act_tuple(gen, t)) is not None
+        full = C.Cone.from_leaves(spec, cells)
+        C.disjointify(C.ConeTuple(spec, [full, C.Cone.from_leaves(spec, cells[:1])]))
+    assert counts["from_cells", "represent_on"] == 0
+    assert counts["expand", "tuple_witness"] == 0
+    for callee in ("check_leaf", "boxes_intersect"):
+        assert counts[callee, "act"] == counts[callee, "disjointify"] == 0
+        # outside cells are still validated
+        assert counts[callee, "from_leaves"] > 0

@@ -121,3 +121,24 @@ def test_witness_fallback_records_no_failure(stein23):
     metrics = tracer.metrics()
     assert metrics["cones.witness_basis.calls"] == 1
     assert metrics["terms.failed"] == 0
+
+
+def test_represent_on_none_records_no_failure(stein23):
+    # y's targets [1/2,1), [0,1/3), [1/3,1/2) partition the root but are not
+    # admissible: represent_on answers None without an exception
+    def cells(*ends):
+        return [Leaf(0, ((F(a), F(b)),)) for a, b in zip(ends, ends[1:])]
+
+    domain = Basis.from_cells(stein23, cells(0, F(1, 6), F(1, 3), F(1, 2), F(5, 8), F(3, 4), 1))
+    sixths = Basis.from_cells(stein23, cells(*(F(k, 6) for k in range(7))))
+    g = E.Element(stein23, domain, sixths, [3, 4, 5, 0, 1, 2])
+    y = Basis.from_cells(stein23, cells(0, F(1, 2), F(3, 4), 1))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert E.represent_on(g, y) is None
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["elements.represent_on.calls"] == 1
+    assert metrics["terms.failed"] == 0
