@@ -1,9 +1,10 @@
 """Centralisers and normalisers of finite subgroups.
 
-Pipeline: find a setwise-invariant basis, minimise it, split it into orbit
-types, and read off the centraliser's factors: for each realized type, a
-locally finite kernel of label maps glued along diagonal refinement, and a
-copy of the group over one root per orbit of that type, acting diagonally.
+Pipeline: take the setwise-invariant basis the subgroup's closure settled
+on, minimise it, split it into orbit types, and read off the centraliser's
+factors: for each realized type, a locally finite kernel of label maps
+glued along diagonal refinement, and a copy of the group over one root per
+orbit of that type, acting diagonally.
 ``invariant_basis_report`` runs the first three steps once per subgroup.
 """
 
@@ -20,7 +21,8 @@ from .elements import (
     FiniteSubgroup,
     _from_mapping,
     _image,
-    apply_to_basis,
+    _perm_inv,
+    _perm_mul,
     compose,
     equals,
     identity,
@@ -44,10 +46,6 @@ from .terms import (
 )
 
 
-class IterationCapExceededError(RuntimeError):
-    """The invariant-basis iteration failed to stabilise within its cap."""
-
-
 class BruteForceCapError(RuntimeError):
     """A permutation problem is larger than its cap: |Y|! for the
     normaliser, the orbit length for a letter centraliser."""
@@ -56,18 +54,6 @@ class BruteForceCapError(RuntimeError):
 # ---------------------------------------------------------------------------
 # group bookkeeping
 # ---------------------------------------------------------------------------
-
-def _perm_mul(p, q):
-    """(p ∘ q)[i] = p[q[i]]: apply q first, matching left actions."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
 
 def _conjugate(pi, g):
     """pi g pi^-1, which sends pi[i] to pi[g[i]]."""
@@ -191,38 +177,21 @@ class GroupData:
 # invariant bases
 # ---------------------------------------------------------------------------
 
-INVARIANT_BASIS_ROUNDS = 64
-
-
 def invariant_basis(q: FiniteSubgroup) -> Basis:
-    """A basis fixed setwise by every element of q.
-
-    Iterates Y <- lub(Y, images of the refined Y through each element) until
-    the basis stabilises, for at most ``INVARIANT_BASIS_ROUNDS`` rounds; the
-    fixed point is provably invariant.
-    """
-    spec = q.spec
-    y = Basis.roots(spec)
-    for _ in range(INVARIANT_BASIS_ROUNDS):
-        acc = y
-        for g in q.elements:
-            mid = lub(g.domain, y)
-            acc = lub(acc, apply_to_basis(g, mid))
-        if acc == y:
-            if not _is_invariant(q, y):
-                raise IterationCapExceededError(
-                    "fixed point is not invariant; model violation"
-                )
-            return y
-        y = acc
-    raise IterationCapExceededError(f"no invariant basis within {INVARIANT_BASIS_ROUNDS} rounds")
+    """A basis fixed setwise by every element of q: the one its closure
+    settled on, which the generators and so every element permute by
+    transport (see ``close_subgroup``)."""
+    return q.basis
 
 
 def _generator_perms(q: FiniteSubgroup, y: Basis) -> list[tuple[int, ...]] | None:
     """The generators' permutations of y's leaves, or None unless every
     element of q carries each leaf of y onto a leaf of y by transport.
     Such maps are closed under products and inverses, so the generators
-    decide it for the whole group."""
+    decide it for the whole group.  On q's own basis these are the
+    permutations its closure certified."""
+    if y == q.basis:
+        return list(q.generator_perms)
     perms = []
     for g in q.generators:
         rep = represent_on(g, y)
@@ -230,10 +199,6 @@ def _generator_perms(q: FiniteSubgroup, y: Basis) -> list[tuple[int, ...]] | Non
             return None
         perms.append(rep[1])
     return perms
-
-
-def _is_invariant(q: FiniteSubgroup, y: Basis) -> bool:
-    return _generator_perms(q, y) is not None
 
 
 def _orbit(start: frozenset, maps) -> set[frozenset]:
@@ -337,21 +302,22 @@ class InvariantBasisReport:
 def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     """Split an invariant basis into orbits and classify their types.
 
-    ``perms`` holds the whole group, so a position's orbit is its set of
-    images, and each position's stabiliser is read off once.  Types are
-    the point stabilisers up to conjugacy: an orbit joins the first
-    reference orbit some g carries onto a position with the orbit's
-    marked stabiliser, since Stab(g r) = g Stab(r) g^-1.  The marked
-    element of each orbit is its canonically least leaf, and every orbit
-    of a type is numbered compatibly with the type's reference orbit, so
-    one permutation representation serves all of them.
+    The generators' permutations of y (``_generator_perms``, which also
+    certifies that y is invariant) give every element's as a product
+    along its word from the closure.  ``perms`` holds the whole group, so
+    a position's orbit is its set of images, and each position's
+    stabiliser is read off once.  Types are the point stabilisers up to
+    conjugacy: an orbit joins the first reference orbit some g carries
+    onto a position with the orbit's marked stabiliser, since
+    Stab(g r) = g Stab(r) g^-1.  The marked element of each orbit is its
+    canonically least leaf, and every orbit of a type is numbered
+    compatibly with the type's reference orbit, so one permutation
+    representation serves all of them.
     """
-    perms: dict[int, tuple[int, ...]] = {}
-    for gi, g in enumerate(q.elements):
-        rep = represent_on(g, y)
-        if rep is None or rep[0] != y:
-            raise TermError("basis is not invariant under the subgroup")
-        perms[gi] = rep[1]
+    gen_perms = _generator_perms(q, y)
+    if gen_perms is None:
+        raise TermError("basis is not invariant under the subgroup")
+    perms = dict(enumerate(q.perms_along_words(gen_perms)))
     group = GroupData(q, list(perms.values()))
     stab = [frozenset(gi for gi, p in perms.items() if p[x] == x) for x in range(len(y))]
     seen: set[int] = set()

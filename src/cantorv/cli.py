@@ -621,7 +621,7 @@ DOMAIN_ERRORS = (
     terms.ResourceCapError,
     elements.CapExceededError,
     cones.ConeError,
-    centralizer.IterationCapExceededError,
+    elements.IterationCapExceededError,
     centralizer.BruteForceCapError,
     stein.ComplexError,
     FileNotFoundError,

@@ -47,6 +47,16 @@ class CapExceededError(RuntimeError):
     """Subgroup closure went past its cap: infinite or large subgroup."""
 
 
+class IterationCapExceededError(RuntimeError):
+    """A subgroup's generator-invariant basis iteration settled on a basis
+    the generators do not permute: a model violation."""
+
+
+# Rounds the generator-invariant basis iteration may take before the
+# subgroup is refused as infinite or out of reach.
+INVARIANT_BASIS_ROUNDS = 64
+
+
 UNKNOWN = "unknown"
 
 
@@ -366,13 +376,23 @@ def random_element(spec: AlgebraSpec, size_bound: int, seed: int) -> Element:
 class FiniteSubgroup:
     """A finite set of elements closed under composition and inverse.
 
-    ``_cache`` keeps what is derived from the subgroup once and shared by
-    its callers, such as its invariant-basis report in ``centralizer``.
+    ``basis`` is a basis whose leaves every element permutes by transport,
+    and ``generator_perms`` the generators' permutations of its leaves.
+    ``words[i]`` is (s, j) when element i was found as seed s times
+    element j, where the seeds are the generators and then their inverses
+    in the same order; it is None for the identity.  So each element's
+    permutation of any invariant basis is a product along its word
+    (``perms_along_words``).  ``_cache`` keeps what is derived from the
+    subgroup once and shared by its callers, such as its invariant-basis
+    report in ``centralizer``.
     """
 
     spec: AlgebraSpec
     elements: tuple[Element, ...]
     generators: tuple[Element, ...]
+    basis: Basis
+    generator_perms: tuple[tuple[int, ...], ...]
+    words: tuple[tuple[int, int] | None, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def __len__(self) -> int:
@@ -381,12 +401,64 @@ class FiniteSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def perms_along_words(self, generator_perms) -> list[tuple[int, ...]]:
+        """Each element's permutation of an invariant basis, in element
+        order, given the generators' permutations of that basis."""
+        seeds = [*generator_perms, *map(_perm_inv, generator_perms)]
+        out: list = [None] * len(self.elements)
+        out[self.words.index(None)] = tuple(range(len(seeds[0])))
+        for i in range(len(out)):
+            chain, j = [], i  # the elements i's word passes through, not yet done
+            while out[j] is None:
+                chain.append(j)
+                j = self.words[j][1]
+            for k in reversed(chain):
+                s, x = self.words[k]
+                out[k] = _perm_mul(seeds[s], out[x])
+        return out
+
+
+def _perm_mul(p, q):
+    """(p ∘ q)[i] = p[q[i]]: apply q first, matching left actions."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _perm_inv(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def _generator_basis(seeds: list[Element]) -> Basis:
+    """The least fixed point of Y <- lub(Y, s(lub(s.domain, Y))) over the
+    seeds, from the roots.  If it has not settled within
+    ``INVARIANT_BASIS_ROUNDS`` rounds, the group is infinite or out of
+    reach: CapExceededError."""
+    y = Basis.roots(seeds[0].spec)
+    for _ in range(INVARIANT_BASIS_ROUNDS):
+        acc = y
+        for s in seeds:
+            acc = lub(acc, apply_to_basis(s, lub(s.domain, y)))
+        if acc == y:
+            return y
+        y = acc
+    raise CapExceededError(
+        f"no generator-invariant basis within {INVARIANT_BASIS_ROUNDS} rounds: "
+        "infinite or out-of-reach subgroup"
+    )
+
 
 def close_subgroup(gens, cap: int) -> FiniteSubgroup:
     """Closure of the generators, or CapExceededError past ``cap``.
 
-    Deduplication uses identical reduced diagrams as a fast path and falls
-    back to semantic equality, so it never assumes reduction is confluent.
+    The generators and their inverses (the seeds) fix a basis Y by
+    ``_generator_basis``, and permute its leaves by transport, which
+    ``represent_on`` certifies.  An element acting so on Y is determined
+    by its permutation of Y's leaves, so the closure is a breadth-first
+    search over the seeds' permutations: an element is composed as a
+    diagram, seed times the element it was reached from, only when its
+    permutation is new, and no two elements are compared as diagrams.
     The elements are sorted by domain size, then by the ``Leaf.key``
     tuples of domain and range, then by permutation.
     """
@@ -400,34 +472,49 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
         if g.spec != spec:
             raise TermError("generators belong to different specs")
     seeds = gens + [invert(g) for g in gens]
+    y = _generator_basis(seeds)
+    gen_perms = []
+    for g in gens:
+        rep = represent_on(g, y)
+        if rep is None or rep[0] != y:
+            raise IterationCapExceededError("fixed point is not invariant; model violation")
+        gen_perms.append(rep[1])
+    seed_perms = gen_perms + [_perm_inv(p) for p in gen_perms]
     elems: list[Element] = [identity(spec)]
-    keys = {elems[0].key()}
-    frontier = [elems[0]]
+    words: list[tuple[int, int] | None] = [None]
+    frontier = [(0, tuple(range(len(y))))]
+    seen = {frontier[0][1]}
     while frontier:
         nxt = []
-        for x in frontier:
-            for g in seeds:
-                y = compose(g, x)
-                if y.key() in keys:
+        for x, xp in frontier:
+            for s, sp in enumerate(seed_perms):
+                p = _perm_mul(sp, xp)
+                if p in seen:
                     continue
-                if any(equals(y, z) for z in elems):
-                    keys.add(y.key())
-                    continue
-                elems.append(y)
-                keys.add(y.key())
-                nxt.append(y)
+                seen.add(p)
+                nxt.append((len(elems), p))
+                elems.append(compose(seeds[s], elems[x]))
+                words.append((s, x))
                 if len(elems) > cap:
                     raise CapExceededError(
                         f"subgroup closure exceeded cap {cap}"
                     )
         frontier = nxt
-    elems.sort(key=lambda e: (
-        len(e.domain),
-        tuple(c.key() for c in e.domain.cells),
-        tuple(c.key() for c in e.range.cells),
-        e.perm,
+    order = sorted(range(len(elems)), key=lambda i: (
+        len(elems[i].domain),
+        tuple(c.key() for c in elems[i].domain.cells),
+        tuple(c.key() for c in elems[i].range.cells),
+        elems[i].perm,
     ))
-    return FiniteSubgroup(spec, tuple(elems), tuple(gens))
+    at = {i: k for k, i in enumerate(order)}
+    return FiniteSubgroup(
+        spec,
+        tuple(elems[i] for i in order),
+        tuple(gens),
+        y,
+        tuple(gen_perms),
+        tuple(None if words[i] is None else (words[i][0], at[words[i][1]]) for i in order),
+    )
 
 
 # ---------------------------------------------------------------------------

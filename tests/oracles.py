@@ -3,15 +3,18 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last eight are the engine's own
+lattice operations they cross-check.  The last ten are the engine's own
 earlier loops, kept as references for the faster versions that replaced
 them: ``certified_enumerate``, ``restart_reduce``,
 ``stepwise_expansion_script``, ``search_glb``,
 ``scan_normalizer``, ``scan_letter_centralizer``,
 ``conjugation_orbit_types`` (orbits searched point by point, types
-found by conjugating whole stabilisers) and ``dense_homology``
-(every face list of every dimension, ranked as dense rows by ``_gf2_rank``
-and ``_rational_rank``, with no clearing).
+found by conjugating whole stabilisers), ``scan_close_subgroup`` (a
+breadth-first search over diagrams, each new one compared with every
+element found so far by ``equals``), ``iterated_invariant_basis`` (the
+images of the basis under every element of the subgroup, round after
+round) and ``dense_homology`` (every face list of every dimension, ranked
+as dense rows by ``_gf2_rank`` and ``_rational_rank``, with no clearing).
 """
 
 from __future__ import annotations
@@ -34,7 +37,20 @@ from cantorv.centralizer import (
     _perm_mul,
     invariant_basis_report,
 )
-from cantorv.elements import Element, _from_mapping, represent_on
+from cantorv.elements import (
+    INVARIANT_BASIS_ROUNDS,
+    CapExceededError,
+    Element,
+    IterationCapExceededError,
+    _from_mapping,
+    apply_to_basis,
+    compose,
+    equals,
+    identity,
+    invert,
+    reduce,
+    represent_on,
+)
 from cantorv.stein import ChainComplexReport, ComplexError, SimplicialComplex
 from cantorv.terms import (
     Basis,
@@ -447,6 +463,58 @@ def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
         orb.numbering = tuple(numbering)
         tdata.orbit_ids += (oid,)
     return InvariantBasisReport(basis=y, group=group, perms=perms, orbits=orbits, types=types)
+
+
+def scan_close_subgroup(gens, cap: int) -> tuple[Element, ...]:
+    """Reference ``close_subgroup``: the elements, in its order, found by
+    composing every element with every generator and inverse, and keeping
+    a product unless its diagram or an ``equals`` scan over the elements
+    found so far has seen it."""
+    gens = [reduce(g) for g in gens]
+    seeds = gens + [invert(g) for g in gens]
+    elems = [identity(gens[0].spec)]
+    keys = {elems[0].key()}
+    frontier = [elems[0]]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in seeds:
+                y = compose(g, x)
+                if y.key() in keys:
+                    continue
+                keys.add(y.key())
+                if any(equals(y, z) for z in elems):
+                    continue
+                elems.append(y)
+                nxt.append(y)
+                if len(elems) > cap:
+                    raise CapExceededError(f"subgroup closure exceeded cap {cap}")
+        frontier = nxt
+    return tuple(sorted(elems, key=lambda e: (
+        len(e.domain),
+        tuple(c.key() for c in e.domain.cells),
+        tuple(c.key() for c in e.range.cells),
+        e.perm,
+    )))
+
+
+def iterated_invariant_basis(q) -> Basis:
+    """Reference ``invariant_basis``: Y <- lub(Y, images of the refined Y
+    through every element of q) from the roots until Y stabilises, with
+    the fixed point checked for invariance on every element."""
+    y = Basis.roots(q.spec)
+    for _ in range(INVARIANT_BASIS_ROUNDS):
+        acc = y
+        for g in q.elements:
+            acc = lub(acc, apply_to_basis(g, lub(g.domain, y)))
+        if acc == y:
+            for g in q.elements:
+                rep = represent_on(g, y)
+                if rep is None or rep[0] != y:
+                    raise IterationCapExceededError("fixed point is not invariant")
+            return y
+        y = acc
+    raise IterationCapExceededError(f"no invariant basis within {INVARIANT_BASIS_ROUNDS} rounds")
 
 
 def _gf2_rank(rows: list[int]) -> int:

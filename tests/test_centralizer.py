@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import pathlib
 import random
+import re
 import sys
 
 import pytest
@@ -29,7 +30,6 @@ from cantorv.centralizer import (
     quotient_spec,
     splitting_lift,
     type_centralizer_L,
-    _is_invariant,
     _perm_mul,
     _perm_inv,
 )
@@ -59,7 +59,13 @@ from cantorv.terms import (
     split_leaf,
 )
 
-from oracles import conjugation_orbit_types, scan_letter_centralizer, scan_normalizer
+from oracles import (
+    conjugation_orbit_types,
+    iterated_invariant_basis,
+    scan_close_subgroup,
+    scan_letter_centralizer,
+    scan_normalizer,
+)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -572,13 +578,13 @@ def test_generators_decide_invariance(v21, v31):
         for cand in lower_closure(y):
             reps = [represent_on(g, cand) for g in q.elements]
             scan = all(rep is not None and rep[0] == cand for rep in reps)
-            assert _is_invariant(q, cand) == scan
+            assert (Z._generator_perms(q, cand) is not None) == scan
 
 
 def _minimize_by_scan(y, q):
     """The exhaustive reference: the first invariant basis of the lower
     closure of y, which lists bases by size and then canonically."""
-    return next(cand for cand in lower_closure(y) if _is_invariant(q, cand))
+    return next(cand for cand in lower_closure(y) if Z._generator_perms(q, cand) is not None)
 
 
 def _blown_up(y):
@@ -668,15 +674,13 @@ def psl27(v21):
     return close_subgroup(psl27_generators(v21), 200)
 
 
-def _random_subgroups(v21):
-    """Subgroups generated by one or two seeded random permutations of a
-    basis with 3 to 8 leaves, of v21, v31 or v21 with two roots; those
-    above 64 elements are skipped."""
+def _random_generators(v21):
+    """One or two seeded random permutations of a basis with 3 to 8
+    leaves, of v21, v31 or v21 with two roots, for each of 40 seeds."""
     pools = [
         [b for b in enumerate_bases(spec, 8) if len(b) >= 3]
         for spec in (v21, parse_spec("roots=1; block[3]"), parse_spec("roots=2; block[2]"))
     ]
-    out = []
     for seed in range(40):
         rng = random.Random(seed)
         b = rng.choice(rng.choice(pools))
@@ -685,6 +689,14 @@ def _random_subgroups(v21):
             perm = list(range(len(b)))
             rng.shuffle(perm)
             gens.append(permutation_element(b, perm))
+        yield gens
+
+
+def _random_subgroups(v21):
+    """The subgroups ``_random_generators`` generate; those above 64
+    elements are skipped."""
+    out = []
+    for gens in _random_generators(v21):
         try:
             out.append(close_subgroup(gens, 64))
         except CapExceededError:
@@ -724,6 +736,56 @@ def test_orbit_types_match_conjugation_reference(v21, v31, benchmark_subgroups, 
             assert _orbit_type_signature(orbit_types(basis, q)) == _orbit_type_signature(
                 conjugation_orbit_types(basis, q)
             )
+
+
+def test_closure_matches_scan_references(v21, v31, benchmark_subgroups, psl27):
+    # the equals scan's elements, diagrams and order; the all-element
+    # iteration's basis; and products along the words equal to each
+    # element's own permutation, on q.basis and on the minimal basis
+    groups = [q for q, _ in _reference_groups(v21, v31) + benchmark_subgroups]
+    groups += _random_subgroups(v21) + [psl27]
+    for q in groups:
+        assert [g.key() for g in q] == [g.key() for g in scan_close_subgroup(q.generators, len(q))]
+        assert q.basis == iterated_invariant_basis(q)
+        for y in (q.basis, invariant_basis_report(q).basis):
+            perms = {gi: represent_on(g, y)[1] for gi, g in enumerate(q)}
+            assert orbit_types(y, q).perms == perms
+
+
+def test_closure_refuses_what_the_scan_refuses(v21):
+    refused = 0
+    for gens in _random_generators(v21):
+        try:
+            close_subgroup(gens, 64)
+        except CapExceededError as exc:
+            refused += 1
+            with pytest.raises(CapExceededError, match=f"^{re.escape(str(exc))}$"):
+                scan_close_subgroup(gens, 64)
+    assert refused > 0
+
+
+def test_report_asks_represent_on_only_for_generators_on_new_bases(
+    benchmark_subgroups, monkeypatch
+):
+    # minimisation starts from the closure's own permutations of q.basis,
+    # and orbit types multiply along the words: represent_on runs once per
+    # generator on each candidate basis and on a final basis that is not
+    # q.basis (none here, as every benchmark q.basis is minimal)
+    calls = []
+    real = Z.represent_on
+
+    def counted(g, y):
+        calls.append((g, y))
+        return real(g, y)
+
+    monkeypatch.setattr(Z, "represent_on", counted)
+    for q, _ in benchmark_subgroups[::24]:
+        q = close_subgroup(q.generators, 64)  # a fresh report
+        start = len(calls)
+        invariant_basis_report(q)
+        for g, y in calls[start:]:
+            assert g in q.generators and y != q.basis
+    assert len(calls) == 6
 
 
 def test_caps_keep_their_meaning(psl27):

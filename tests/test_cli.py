@@ -1,5 +1,9 @@
 import io
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +22,7 @@ from cantorv.elements import (
 from cantorv.terms import Basis, basis_to_text, expand, parse_basis_text
 from oracles import scan_normalizer
 from test_centralizer import psl27_generators
-from test_elements import FOUR_LEAF_CONJUGATE
+from test_elements import FOUR_LEAF_CONJUGATE, _x0
 from test_terms import _balanced
 
 
@@ -312,6 +316,23 @@ def test_centralizer_cli_on_a_conjugated_subgroup(tmp_path, spec_file):
         "C = (K[regular] x| V_2)",
         "note: raw orbit counts reported; counts mod d=1 lie in (0, d]",
     ]
+
+
+def test_centralizer_cli_refuses_an_infinite_order_generator(tmp_path, spec_file, v21):
+    # x0 has infinite order: under the CLI's group cap of 4096 elements the
+    # closure must end in a typed error, not run for days
+    grp = tmp_path / "x0.grp"
+    grp.write_text(element_to_text(_x0(v21)))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "CANTORV_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from cantorv.cli import main; main()",
+         "centralizer", "analyze", "--spec", spec_file, "--group", str(grp)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")
 
 
 def compose_check(a, b):

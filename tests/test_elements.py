@@ -376,6 +376,13 @@ def test_close_subgroup_cap_exceeded(v21):
         close_subgroup([_x0(v21)], 100)
 
 
+def test_close_subgroup_refuses_infinite_order_by_round_bound(v21):
+    # x0's generator-invariant basis iteration gains leaves every round,
+    # so no cap on the element count is reached before the round bound
+    with pytest.raises(CapExceededError, match="within 64 rounds"):
+        close_subgroup([_x0(v21)], 4096)
+
+
 # A permutation of a four-leaf basis conjugated by a random element, as the
 # symmetry benchmark builds its subgroups.  Three of its elements share a
 # domain size but differ in a leaf, which a sort on the leaves themselves
