@@ -21,7 +21,6 @@ from .elements import (
     FiniteSubgroup,
     _from_mapping,
     _image,
-    _perm_inv,
     _perm_mul,
     compose,
     equals,
@@ -113,64 +112,35 @@ def _conjugators(s, t):
     return place(0)
 
 
-class GroupData:
-    """Index-based multiplication structure of a finite subgroup.
+def _is_cyclic(perms) -> bool:
+    """Whether the group of these distinct permutations is cyclic: some
+    element's order, the lcm of its cycle lengths, is the group's.  The
+    action is faithful, so an element's order is its permutation's."""
+    return any(math.lcm(*map(len, _cycles(p))) == len(perms) for p in perms)
 
-    ``perms`` lists each element's permutation of an invariant basis, in
-    element order.  The action is faithful (an element fixing every leaf
-    is the identity), so the group law is read off the permutations.
-    """
 
-    def __init__(self, q: FiniteSubgroup, perms):
-        self.subgroup = q
-        self.elements = list(q.elements)
-        index = {p: i for i, p in enumerate(perms)}
-        if len(index) != len(self.elements):
-            raise TermError("two elements act by the same permutation")
-        self.identity_index = index[tuple(range(len(perms[0])))]
-        self.mult = [[index[_perm_mul(a, b)] for b in perms] for a in perms]
-        self.inv = [index[_perm_inv(p)] for p in perms]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def generated(self, gens) -> set[int]:
-        """The subgroup the elements ``gens`` generate."""
-        span = {self.identity_index}
-        frontier = [self.identity_index]
+def _generating_set(perms, first: int) -> list[int]:
+    """Indices of elements that generate the group of ``perms``:
+    ``first``, then each element, in order, that those before it do not
+    generate.  The span is closed under left multiplication by the
+    generators so far; a new generator multiplies all of it, and every
+    generator multiplies what that adds."""
+    gens: list[int] = []
+    span = {tuple(range(len(perms[0])))}
+    for i in (first, *range(len(perms))):
+        if gens and (len(span) == len(perms) or perms[i] in span):
+            continue
+        gens.append(i)
+        frontier = [p for p in (_perm_mul(perms[i], x) for x in span) if p not in span]
+        span.update(frontier)
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = self.mult[g][x]
+                y = _perm_mul(perms[g], x)
                 if y not in span:
                     span.add(y)
                     frontier.append(y)
-        return span
-
-    def generating_set(self, first: int) -> list[int]:
-        """Elements that generate the group: ``first``, then each element,
-        in index order, that those before it do not generate."""
-        gens = [first]
-        span = self.generated(gens)
-        for g in range(len(self)):
-            if len(span) == len(self):
-                break
-            if g not in span:
-                gens.append(g)
-                span = self.generated(gens)
-        return gens
-
-    def is_cyclic(self) -> bool:
-        n = len(self.elements)
-        for g in range(n):
-            seen = {self.identity_index}
-            cur = g
-            while cur != self.identity_index:
-                seen.add(cur)
-                cur = self.mult[g][cur]
-            if len(seen) == n:
-                return True
-        return n == 1
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +253,7 @@ class TypeData:
     type_id: str
     m: int                            # orbit length
     orbit_ids: tuple[int, ...]        # which orbits realize the type
-    phi: dict[int, tuple[int, ...]]   # Q element index -> permutation of [m]
+    phi: list[tuple[int, ...]]        # each Q element's permutation of [m]
 
     @property
     def r(self) -> int:
@@ -293,8 +263,7 @@ class TypeData:
 @dataclass
 class InvariantBasisReport:
     basis: Basis
-    group: GroupData
-    perms: dict[int, tuple[int, ...]]  # Q element index -> permutation of Y
+    perms: list[tuple[int, ...]]      # each Q element's permutation of Y
     orbits: list[OrbitData]
     types: dict[str, TypeData]
 
@@ -304,8 +273,9 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
 
     The generators' permutations of y (``_generator_perms``, which also
     certifies that y is invariant) give every element's as a product
-    along its word from the closure.  ``perms`` holds the whole group, so
-    a position's orbit is its set of images, and each position's
+    along its word from the closure.  The action is faithful, so two
+    elements with one permutation are refused.  ``perms`` holds the whole
+    group, so a position's orbit is its set of images, and each position's
     stabiliser is read off once.  Types are the point stabilisers up to
     conjugacy: an orbit joins the first reference orbit some g carries
     onto a position with the orbit's marked stabiliser, since
@@ -317,14 +287,15 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     gen_perms = _generator_perms(q, y)
     if gen_perms is None:
         raise TermError("basis is not invariant under the subgroup")
-    perms = dict(enumerate(q.perms_along_words(gen_perms)))
-    group = GroupData(q, list(perms.values()))
-    stab = [frozenset(gi for gi, p in perms.items() if p[x] == x) for x in range(len(y))]
+    perms = q.perms_along_words(gen_perms)
+    if len(set(perms)) != len(perms):
+        raise TermError("two elements act by the same permutation")
+    stab = [frozenset(gi for gi, p in enumerate(perms) if p[x] == x) for x in range(len(y))]
     seen: set[int] = set()
     orbits: list[OrbitData] = []
     for start in range(len(y)):
         if start not in seen:
-            indices = tuple(sorted({p[start] for p in perms.values()}))
+            indices = tuple(sorted({p[start] for p in perms}))
             seen.update(indices)
             orbits.append(OrbitData(indices=indices, marked=start, stabilizer=stab[start]))
 
@@ -333,20 +304,17 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
     for oid, orb in enumerate(orbits):
         # the first reference orbit, and the least g0 for it, with
         # g0 stab(ref_marked) g0^-1 = stab(g0(ref_marked)) = stab(marked)
-        assigned, g0 = next(((ref, g) for ref in refs for g, p in perms.items()
+        assigned, g0 = next(((ref, g) for ref in refs for g, p in enumerate(perms)
                              if stab[p[ref.marked]] == orb.stabilizer), (None, None))
         if assigned is None:
             # new type: reference numbering is the canonical position order
             orb.numbering = orb.indices
             m = len(orb.indices)
             pos_to_letter = {pos: k for k, pos in enumerate(orb.numbering)}
-            phi = {
-                gi: tuple(pos_to_letter[perms[gi][pos]] for pos in orb.numbering)
-                for gi in range(len(group))
-            }
+            phi = [tuple(pos_to_letter[p[pos]] for pos in orb.numbering) for p in perms]
             if m == 1:
                 tid = "trivial"
-            elif len(orb.stabilizer) == 1 and m == len(group):
+            elif len(orb.stabilizer) == 1 and m == len(perms):
                 tid = "regular"
             else:
                 tid = f"type{len(refs)}"
@@ -362,14 +330,11 @@ def orbit_types(y: Basis, q: FiniteSubgroup) -> InvariantBasisReport:
             t = perms[g0][assigned.marked]
             numbering = [0] * tdata.m
             pos_to_letter_ref = {pos: k for k, pos in enumerate(assigned.numbering)}
-            for gi in range(len(group)):
-                letter = pos_to_letter_ref[perms[gi][t]]
-                numbering[letter] = perms[gi][orb.marked]
+            for p in perms:
+                numbering[pos_to_letter_ref[p[t]]] = p[orb.marked]
             orb.numbering = tuple(numbering)
             tdata.orbit_ids += (oid,)
-    report = InvariantBasisReport(
-        basis=y, group=group, perms=perms, orbits=orbits, types=types
-    )
+    report = InvariantBasisReport(basis=y, perms=perms, orbits=orbits, types=types)
     _check_numbering(report)
     return report
 
@@ -378,8 +343,7 @@ def _check_numbering(report: InvariantBasisReport) -> None:
     """Every orbit's numbering must intertwine the type's representation."""
     for orb in report.orbits:
         tdata = report.types[orb.type_id]
-        for gi, p in report.perms.items():
-            phi = tdata.phi[gi]
+        for p, phi in zip(report.perms, tdata.phi):
             for k in range(tdata.m):
                 if p[orb.numbering[k]] != orb.numbering[phi[k]]:
                     raise TermError("orbit numbering fails equivariance")
@@ -404,26 +368,25 @@ def type_centralizer_L(
 
     Cross-validated against the quotient description
     N_{P}(P_1)/P_1 for P the image and P_1 a point stabiliser, and against
-    P itself when the acting group is cyclic.
+    P itself when the acting group is cyclic.  P is transitive and
+    s P_1 s^-1 = Stab(s(0)), a stabiliser of P_1's size, so s normalises
+    P_1 exactly when P_1 fixes s(0).
     """
     tdata = report.types[type_id]
     m = tdata.m
     if m > cap:
         raise BruteForceCapError(f"orbit length {m} above brute-force cap {cap}")
-    image = set(tdata.phi.values())
+    image = set(tdata.phi)
     s = min(image, key=lambda p: _centralizer_order(_cycle_type(p)))
     result = tuple(sorted(
         pi for pi in _conjugators(s, s) if all(_conjugate(pi, g) == g for g in image)
     ))
-    stab1 = {s for s in image if s[0] == 0}
-    normal = {
-        s
-        for s in image
-        if {_perm_mul(_perm_mul(s, t), _perm_inv(s)) for t in stab1} == stab1
-    }
+    stab1 = [t for t in image if t[0] == 0]
+    fixed = {k for k in range(m) if all(t[k] == k for t in stab1)}
+    normal = [t for t in image if t[0] in fixed]
     if len(result) * len(stab1) != len(normal):
         raise TermError("centraliser size disagrees with quotient description")
-    if report.group.is_cyclic() and set(result) != image:
+    if _is_cyclic(report.perms) and set(result) != image:
         raise TermError("cyclic image must be its own letter centraliser")
     return result
 
@@ -655,15 +618,14 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
     n = len(y)
     if math.factorial(n) > cap:
         raise BruteForceCapError(f"|S(Y)| = {n}! exceeds cap {cap}")
-    group = report.group
     perms = report.perms
-    image = set(perms.values())
+    image = set(perms)
     by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for p in image:
         by_type.setdefault(_cycle_type(p), []).append(p)
     candidates = {ct: _centralizer_order(ct) * len(ps) for ct, ps in by_type.items()}
-    si = min(range(len(group)), key=lambda gi: candidates[_cycle_type(perms[gi])])
-    gens = [perms[gi] for gi in group.generating_set(si)]
+    si = min(range(len(perms)), key=lambda gi: candidates[_cycle_type(perms[gi])])
+    gens = [perms[gi] for gi in _generating_set(perms, si)]
     normal: list[tuple[int, ...]] = []
     central: list[tuple[int, ...]] = []
     for t in by_type[_cycle_type(gens[0])]:
@@ -705,9 +667,7 @@ def decompose_fixing_element(report: InvariantBasisReport, x: Element):
     if rep is None or rep[0] != y:
         return None
     perm = rep[1]
-    group = report.group
-    for gi in range(len(group)):
-        p = report.perms[gi]
+    for p in report.perms:
         if tuple(perm[p[i]] for i in range(len(y))) != tuple(
             p[perm[i]] for i in range(len(y))
         ):

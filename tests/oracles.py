@@ -27,14 +27,11 @@ from fractions import Fraction
 
 from cantorv.algebra import AlgebraSpec
 from cantorv.centralizer import (
-    GroupData,
     InvariantBasisReport,
     NormalizerReport,
     OrbitData,
     TypeData,
     _orbit,
-    _perm_inv,
-    _perm_mul,
     invariant_basis_report,
 )
 from cantorv.elements import (
@@ -43,6 +40,8 @@ from cantorv.elements import (
     Element,
     IterationCapExceededError,
     _from_mapping,
+    _perm_inv,
+    _perm_mul,
     apply_to_basis,
     compose,
     equals,
@@ -365,7 +364,7 @@ def scan_normalizer(q) -> NormalizerReport:
     report = invariant_basis_report(q)
     y = report.basis
     n = len(y)
-    image = set(report.perms.values())
+    image = set(report.perms)
     normal = []
     central = []
     for perm in itertools.permutations(range(n)):
@@ -396,7 +395,7 @@ def scan_letter_centralizer(report, type_id: str) -> tuple[tuple[int, ...], ...]
     """Reference ``type_centralizer_L``: every permutation of the orbit
     letters that commutes with the type's representation, sorted."""
     tdata = report.types[type_id]
-    image = set(tdata.phi.values())
+    image = set(tdata.phi)
     return tuple(
         perm
         for perm in itertools.permutations(range(tdata.m))
@@ -409,13 +408,13 @@ def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
     position by ``_orbit``, and an orbit joins the first reference orbit
     whose marked stabiliser some g conjugates onto its own, for the least
     such g, found by conjugating the whole stabiliser by each g in turn."""
-    perms = {gi: represent_on(g, y)[1] for gi, g in enumerate(q.elements)}
-    group = GroupData(q, list(perms.values()))
+    perms = [represent_on(g, y)[1] for g in q.elements]
+    index = {p: gi for gi, p in enumerate(perms)}
 
     def conjugator(h1, h2):
-        for g in range(len(group)):
-            gi = group.inv[g]
-            if frozenset(group.mult[group.mult[g][x]][gi] for x in h1) == h2:
+        for g, p in enumerate(perms):
+            inv = _perm_inv(p)
+            if frozenset(index[_perm_mul(_perm_mul(p, perms[x]), inv)] for x in h1) == h2:
                 return g
         return None
 
@@ -424,11 +423,11 @@ def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
     for start in range(len(y)):
         if start in seen:
             continue
-        orbit = frozenset().union(*_orbit(frozenset((start,)), perms.values()))
+        orbit = frozenset().union(*_orbit(frozenset((start,)), perms))
         seen |= orbit
         indices = tuple(sorted(orbit))
         marked = indices[0]
-        stab = frozenset(gi for gi, p in perms.items() if p[marked] == marked)
+        stab = frozenset(gi for gi, p in enumerate(perms) if p[marked] == marked)
         orbits.append(OrbitData(indices=indices, marked=marked, stabilizer=stab))
     types: dict[str, TypeData] = {}
     refs: list[OrbitData] = []
@@ -441,10 +440,10 @@ def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
             orb.numbering = orb.indices
             m = len(orb.indices)
             letter = {pos: k for k, pos in enumerate(orb.numbering)}
-            phi = {gi: tuple(letter[p[pos]] for pos in orb.numbering) for gi, p in perms.items()}
+            phi = [tuple(letter[p[pos]] for pos in orb.numbering) for p in perms]
             if m == 1:
                 tid = "trivial"
-            elif len(orb.stabilizer) == 1 and m == len(group):
+            elif len(orb.stabilizer) == 1 and m == len(perms):
                 tid = "regular"
             else:
                 tid = f"type{len(refs)}"
@@ -458,11 +457,11 @@ def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:
         t = perms[g0][ref.marked]
         letter = {pos: k for k, pos in enumerate(ref.numbering)}
         numbering = [0] * tdata.m
-        for p in perms.values():
+        for p in perms:
             numbering[letter[p[t]]] = p[orb.marked]
         orb.numbering = tuple(numbering)
         tdata.orbit_ids += (oid,)
-    return InvariantBasisReport(basis=y, group=group, perms=perms, orbits=orbits, types=types)
+    return InvariantBasisReport(basis=y, perms=perms, orbits=orbits, types=types)
 
 
 def scan_close_subgroup(gens, cap: int) -> tuple[Element, ...]:

@@ -14,7 +14,6 @@ import cantorv.elements as E
 import cantorv.terms as T
 from cantorv.centralizer import (
     BruteForceCapError,
-    GroupData,
     KernelElement,
     build_kernel_element,
     centralizer_structure,
@@ -30,12 +29,12 @@ from cantorv.centralizer import (
     quotient_spec,
     splitting_lift,
     type_centralizer_L,
-    _perm_mul,
-    _perm_inv,
 )
 from cantorv.cones import cone_equals, act as cone_act
 from cantorv.elements import (
     CapExceededError,
+    _perm_inv,
+    _perm_mul,
     close_subgroup,
     compose,
     equals,
@@ -477,8 +476,7 @@ def test_orbit_type_transport(v31):
     nrep = normalizer_analysis(q)
     y = nrep.basis
     rep = orbit_types(y, q)
-    gd = rep.group
-    image = {rep.perms[i] for i in range(len(gd))}
+    image = set(rep.perms)
     for perm in nrep.coset_reps:
         conj_perms = {
             _perm_mul(_perm_mul(perm, s), _perm_inv(perm)) for s in image
@@ -486,27 +484,34 @@ def test_orbit_type_transport(v31):
         assert conj_perms == image
 
 
-def _group_data(q):
-    return orbit_types(invariant_basis(q), q).group
+def _is_cyclic(q):
+    return Z._is_cyclic(orbit_types(invariant_basis(q), q).perms)
 
 
 def test_group_data_cyclic_detection(v21, v31):
-    assert _group_data(_sigma_group(v21)).is_cyclic()
-    assert _group_data(_three_cycle_group(v31)).is_cyclic()
+    assert _is_cyclic(_sigma_group(v21))
+    assert _is_cyclic(_three_cycle_group(v31))
     h = _halves(v21)
     b3 = expand(h, h.cells[0], 0)
     s3 = close_subgroup(
         [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
         24,
     )
-    assert not _group_data(s3).is_cyclic()
+    assert not _is_cyclic(s3)
+    # cyclic of order 6 from a transposition and a disjoint 3-cycle, neither
+    # of order 6
+    b5 = expand(expand(b3, b3.cells[0], 0), b3.cells[2], 0)
+    c6 = close_subgroup(
+        [permutation_element(b5, [1, 0, 2, 3, 4]), permutation_element(b5, [0, 1, 3, 4, 2])],
+        8,
+    )
+    assert len(c6) == 6 and _is_cyclic(c6)
+    assert not _is_cyclic(_klein_group(v21)[0])
 
 
 def _conjugated_group(source, size, seed):
     """A permutation of a basis with ``size`` leaves, conjugated by a random
-    element, as the symmetry benchmark builds its subgroups.  The instances
-    below are ones ``close_subgroup`` closes; its final sort still fails on
-    some others."""
+    element, as the symmetry benchmark builds its subgroups."""
     spec = parse_spec(source)
     bases = [b for b in enumerate_bases(spec, size) if len(b) == size]
     rng = random.Random(seed)
@@ -519,6 +524,18 @@ def _conjugated_group(source, size, seed):
     return close_subgroup([compose(compose(c, p), invert(c))], 64)
 
 
+def _klein_group(v21):
+    """A Klein four-group on the quarters, with the quarters: the first
+    generator alone keeps the halves invariant, the second does not."""
+    h = _halves(v21)
+    quarters = expand(expand(h, h.cells[0], 0), h.cells[1], 0)
+    klein = close_subgroup(
+        [permutation_element(quarters, [2, 3, 0, 1]), permutation_element(quarters, [1, 0, 3, 2])],
+        8,
+    )
+    return klein, quarters
+
+
 def _reference_groups(v21, v31):
     """(subgroup, invariant basis) pairs for the reference tests."""
     h = _halves(v21)
@@ -527,15 +544,8 @@ def _reference_groups(v21, v31):
         [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
         24,
     )
-    # a Klein four-group on the quarters: the first generator alone keeps
-    # the halves invariant, the second does not
-    quarters = expand(expand(h, h.cells[0], 0), h.cells[1], 0)
-    klein = close_subgroup(
-        [permutation_element(quarters, [2, 3, 0, 1]), permutation_element(quarters, [1, 0, 3, 2])],
-        8,
-    )
     spec2 = parse_spec("roots=2; block[2]")
-    out = [(s3, b3), (klein, quarters), (close_subgroup([identity(spec2)], 4), Basis.roots(spec2))]
+    out = [(s3, b3), _klein_group(v21), (close_subgroup([identity(spec2)], 4), Basis.roots(spec2))]
     groups = [_sigma_group(v21), _three_cycle_group(v31), _mixed_group(v21)]
     groups += [
         _conjugated_group(source, size, seed)
@@ -552,9 +562,9 @@ def _reference_groups(v21, v31):
 
 def test_group_data_matches_diagram_composition(v21, v31):
     # reference: the table built from diagrams, n^2 compose and a linear
-    # equals search per entry
+    # equals search per entry, against products of the permutations
     for q, y in _reference_groups(v21, v31):
-        gd = orbit_types(y, q).group
+        perms = orbit_types(y, q).perms
         elems = list(q.elements)
         n = len(elems)
         ident = next(i for i, g in enumerate(elems) if equals(g, identity(q.spec)))
@@ -563,14 +573,69 @@ def test_group_data_matches_diagram_composition(v21, v31):
             for a in elems
         ]
         inv = [next(j for j in range(n) if mult[i][j] == ident) for i in range(n)]
-        assert (gd.mult, gd.inv, gd.identity_index) == (mult, inv, ident)
+        assert perms[ident] == tuple(range(len(y)))
+        for a in range(n):
+            assert perms[inv[a]] == _perm_inv(perms[a])
+            for b in range(n):
+                assert perms[mult[a][b]] == _perm_mul(perms[a], perms[b])
+
+        def generated(gens):
+            span, frontier = {ident}, [ident]
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    if mult[g][x] not in span:
+                        span.add(mult[g][x])
+                        frontier.append(mult[g][x])
+            return span
+
+        # the greedy generating set, read off the table
+        for first in range(n):
+            gens = [first]
+            for g in range(n):
+                if g not in generated(gens):
+                    gens.append(g)
+            assert Z._generating_set(perms, first) == gens
 
 
-def test_group_data_rejects_repeated_permutations(v21):
+def test_group_data_rejects_repeated_permutations(v21, monkeypatch):
     q = _sigma_group(v21)
-    perms = list(orbit_types(invariant_basis(q), q).perms.values())
-    with pytest.raises(TermError):
-        GroupData(q, [perms[0]] * len(perms))
+    monkeypatch.setattr(
+        E.FiniteSubgroup, "perms_along_words", lambda self, gen_perms: [gen_perms[0]] * len(self)
+    )
+    with pytest.raises(TermError, match="two elements act by the same permutation"):
+        orbit_types(invariant_basis(q), q)
+
+
+def test_group_law_needs_no_multiplication_table(v21, monkeypatch):
+    # the order-720 group of random seed 10: the structure and normaliser
+    # multiply permutations a few times per element, not |Q|^2 times
+    gens = next(itertools.islice(_random_generators(v21), 10, None))
+    q = close_subgroup(gens, 720)
+    assert len(q) == 720
+    calls = 0
+    real = E._perm_mul
+
+    def counted(p, r):
+        nonlocal calls
+        calls += 1
+        return real(p, r)
+
+    monkeypatch.setattr(E, "_perm_mul", counted)
+    monkeypatch.setattr(Z, "_perm_mul", counted)
+    centralizer_structure(q)
+    normalizer_analysis(q)
+    assert 0 < calls <= 10 * len(q)
+
+
+def test_quotient_cross_check_fires(v31, monkeypatch):
+    # with only the identity as a conjugator, |L| = 1 while
+    # |N_P(P_1)| / |P_1| = 3 for the regular type of the three-cycle
+    q = _three_cycle_group(v31)
+    rep = orbit_types(invariant_basis(q), q)
+    monkeypatch.setattr(Z, "_conjugators", lambda s, t: iter([tuple(range(len(s)))]))
+    with pytest.raises(TermError, match="^centraliser size disagrees with quotient description$"):
+        type_centralizer_L(rep, "regular")
 
 
 def test_generators_decide_invariance(v21, v31):
@@ -598,7 +663,7 @@ def _normalizer_by_set_scan(q):
     run: every conjugate of the image is built whole and compared."""
     y = minimize_invariant_basis(invariant_basis(q), q)
     report = orbit_types(y, q)
-    image = set(report.perms.values())
+    image = set(report.perms)
     normal = central = 0
     for perm in itertools.permutations(range(len(y))):
         conj = {_perm_mul(_perm_mul(perm, s), _perm_inv(perm)) for s in image}
@@ -748,8 +813,7 @@ def test_closure_matches_scan_references(v21, v31, benchmark_subgroups, psl27):
         assert [g.key() for g in q] == [g.key() for g in scan_close_subgroup(q.generators, len(q))]
         assert q.basis == iterated_invariant_basis(q)
         for y in (q.basis, invariant_basis_report(q).basis):
-            perms = {gi: represent_on(g, y)[1] for gi, g in enumerate(q)}
-            assert orbit_types(y, q).perms == perms
+            assert orbit_types(y, q).perms == [represent_on(g, y)[1] for g in q]
 
 
 def test_closure_refuses_what_the_scan_refuses(v21):
