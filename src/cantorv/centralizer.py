@@ -22,10 +22,7 @@ from .elements import (
     _from_mapping,
     _image,
     _perm_mul,
-    compose,
     equals,
-    identity,
-    permutation_element,
     represent_on,
 )
 from .terms import (
@@ -460,6 +457,9 @@ class KernelElement:
     def __post_init__(self) -> None:
         if set(self.labels) != set(self.basis.cells):
             raise TermError("labels must cover exactly the basis leaves")
+        for lab in self.labels.values():
+            if sorted(lab) != list(range(len(lab))):
+                raise TermError(f"label {lab} is not a permutation")
 
 
 def expand_kernel(k: KernelElement, leaf: Leaf, color: int) -> KernelElement:
@@ -491,27 +491,30 @@ def kernel_action(v: Element, k: KernelElement) -> KernelElement:
     return KernelElement(k.qspec, image, labels)
 
 
-def _orbit_copies(report: InvariantBasisReport, type_id: str):
-    """For each orbit of the type (quotient root order): the list mapping
-    letter k to the orbit's Y-leaf at that letter."""
-    tdata = report.types[type_id]
-    y = report.basis
-    out = []
-    for oid in tdata.orbit_ids:
-        orb = report.orbits[oid]
-        out.append([y.cells[pos] for pos in orb.numbering])
-    return out
-
-
-def _fix_other_types(report: InvariantBasisReport, type_id: str) -> dict[Leaf, Leaf]:
-    """The identity on the Y-leaves of every orbit not of the type."""
-    cells = report.basis.cells
-    return {
-        cells[pos]: cells[pos]
-        for orb in report.orbits
-        if orb.type_id != type_id
-        for pos in orb.indices
-    }
+def _diagonal(report: InvariantBasisReport, moves) -> Element:
+    """The element acting diagonally across the orbit copies of each type
+    listed in ``moves``, a dict from type id to (a, b, lab) triples of
+    quotient cells and a letter map: letter k of a goes to letter lab[k]
+    of b.  Letter k of a quotient cell under root j is the same cell
+    carried into the Y-leaf at letter k of the type's orbit j, position
+    ``numbering[k]`` of that orbit.  The leaves of every other type are
+    fixed."""
+    spec, cells = report.basis.spec, report.basis.cells
+    mapping = {cells[pos]: cells[pos] for orb in report.orbits
+               if orb.type_id not in moves for pos in orb.indices}
+    for tid, triples in moves.items():
+        tdata = report.types[tid]
+        qspec = quotient_spec(spec, tdata.r)
+        letters = [
+            (root_leaf(qspec, j), [cells[pos] for pos in report.orbits[oid].numbering])
+            for j, oid in enumerate(tdata.orbit_ids)
+        ]
+        for a, b, lab in triples:
+            a_root, a_letters = letters[a.root]
+            b_root, b_letters = letters[b.root]
+            for k, l in enumerate(lab):
+                mapping[transport(a_root, a_letters[k], a)] = transport(b_root, b_letters[l], b)
+    return _from_mapping(spec, mapping)
 
 
 def build_kernel_element(
@@ -521,24 +524,11 @@ def build_kernel_element(
     of the quotient leaf a, permute the copies by a's label; fix the rest."""
     spec = report.basis.spec
     tdata = report.types[type_id]
-    copies = _orbit_copies(report, type_id)
     if k.qspec.roots != tdata.r or k.qspec.blocks != spec.blocks:
         raise TermError("kernel element is over the wrong quotient")
-    for lab in k.labels.values():
-        if len(lab) != tdata.m:
-            raise TermError("label degree does not match the orbit length")
-    mapping = _fix_other_types(report, type_id)
-    for j, letter_cells in enumerate(copies):
-        qroot = root_leaf(k.qspec, j)
-        for a in k.basis.cells:
-            if a.root != j:
-                continue
-            lab = k.labels[a]
-            for pos_k, target in enumerate(letter_cells):
-                src = transport(qroot, target, a)
-                dst = transport(qroot, letter_cells[lab[pos_k]], a)
-                mapping[src] = dst
-    return _from_mapping(spec, mapping)
+    if any(len(lab) != tdata.m for lab in k.labels.values()):
+        raise TermError("label degree does not match the orbit length")
+    return _diagonal(report, {type_id: [(a, a, k.labels[a]) for a in k.basis.cells]})
 
 
 def encode_kernel_element(k: KernelElement, letters) -> ConeTuple:
@@ -557,20 +547,12 @@ def splitting_lift(
     """Lift a quotient element diagonally across the orbits of one type."""
     spec = report.basis.spec
     tdata = report.types[type_id]
-    copies = _orbit_copies(report, type_id)
     if v.spec.roots != tdata.r or v.spec.blocks != spec.blocks:
         raise TermError("element is over the wrong quotient")
-    mapping = _fix_other_types(report, type_id)
-    qspec = v.spec
-    for i, dcell in enumerate(v.domain.cells):
-        rcell = v.range.cells[v.perm[i]]
-        src_root = root_leaf(qspec, dcell.root)
-        dst_root = root_leaf(qspec, rcell.root)
-        for letter in range(tdata.m):
-            src = transport(src_root, copies[dcell.root][letter], dcell)
-            dst = transport(dst_root, copies[rcell.root][letter], rcell)
-            mapping[src] = dst
-    return _from_mapping(spec, mapping)
+    same = tuple(range(tdata.m))
+    return _diagonal(report, {type_id: [
+        (d, v.range.cells[v.perm[i]], same) for i, d in enumerate(v.domain.cells)
+    ]})
 
 
 # ---------------------------------------------------------------------------
@@ -660,60 +642,40 @@ def decompose_fixing_element(report: InvariantBasisReport, x: Element):
     Returns {type_id: (labels per quotient root, root permutation)} and
     verifies the reconstruction; None when x does not fix the basis, does
     not centralise, or its letter maps leave the letter centralisers.
-    Membership testing beyond basis-fixing elements is not attempted.
+    Each Y position is looked up once in the types' letter index, and a
+    letter map is in the letter centraliser when it commutes with the
+    type's whole image.  Membership testing beyond basis-fixing elements
+    is not attempted.
     """
     y = report.basis
     rep = represent_on(x, y)
     if rep is None or rep[0] != y:
         return None
     perm = rep[1]
-    for p in report.perms:
-        if tuple(perm[p[i]] for i in range(len(y))) != tuple(
-            p[perm[i]] for i in range(len(y))
-        ):
-            return None
+    if any(_perm_mul(perm, p) != _perm_mul(p, perm) for p in report.perms):
+        return None
+    letter_at = {
+        pos: (j, k)
+        for tdata in report.types.values()
+        for j, oid in enumerate(tdata.orbit_ids)
+        for k, pos in enumerate(report.orbits[oid].numbering)
+    }
     out: dict[str, tuple[tuple, tuple]] = {}
+    moves = {}
     for tid, tdata in report.types.items():
-        orbit_positions = {oid: report.orbits[oid].numbering for oid in tdata.orbit_ids}
-        root_perm = [None] * tdata.r
-        labels = [None] * tdata.r
-        for j, oid in enumerate(tdata.orbit_ids):
-            numbering = orbit_positions[oid]
-            target_pos = perm[numbering[0]]
-            target_j = next(
-                (
-                    jj
-                    for jj, oid2 in enumerate(tdata.orbit_ids)
-                    if target_pos in report.orbits[oid2].indices
-                ),
-                None,
-            )
-            if target_j is None:
-                return None
-            tgt_numbering = orbit_positions[tdata.orbit_ids[target_j]]
-            letter_of = {pos: k for k, pos in enumerate(tgt_numbering)}
-            lmap = tuple(letter_of[perm[numbering[k]]] for k in range(tdata.m))
-            root_perm[j] = target_j
-            labels[j] = lmap
-        if sorted(root_perm) != list(range(tdata.r)):
+        # x commutes with Q and keeps each point's stabiliser, so it carries
+        # the type's orbits onto one another, each onto one
+        targets = [
+            [letter_at[perm[pos]] for pos in report.orbits[oid].numbering]
+            for oid in tdata.orbit_ids
+        ]
+        root_perm = tuple(t[0][0] for t in targets)
+        labels = tuple(tuple(k for _, k in t) for t in targets)
+        if any(_perm_mul(lab, g) != _perm_mul(g, lab) for lab in labels for g in tdata.phi):
             return None
-        L = set(type_centralizer_L(report, tid))
-        if any(l not in L for l in labels):
-            return None
-        out[tid] = (tuple(labels), tuple(root_perm))
-    # verify the reconstruction: per type, letter maps then the root swap
-    spec = y.spec
-    rebuilt = identity(spec)
-    for tid, (labels, root_perm) in out.items():
-        tdata = report.types[tid]
-        qspec = quotient_spec(spec, tdata.r)
-        roots = Basis.roots(qspec)
-        kernel = KernelElement(
-            qspec, roots, {roots.cells[j]: labels[j] for j in range(tdata.r)}
-        )
-        part = build_kernel_element(report, tid, kernel)
-        lift = splitting_lift(report, tid, permutation_element(roots, root_perm))
-        rebuilt = compose(compose(lift, part), rebuilt)
-    if not equals(rebuilt, x):
+        out[tid] = (labels, root_perm)
+        roots = Basis.roots(quotient_spec(y.spec, tdata.r)).cells
+        moves[tid] = [(roots[j], roots[root_perm[j]], labels[j]) for j in range(tdata.r)]
+    if not equals(_diagonal(report, moves), x):
         return None
     return out

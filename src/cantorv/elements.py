@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .algebra import AlgebraSpec
 from .terms import (
     Basis,
+    canonical_order,
     cells_admissible,
     Leaf,
     TermError,
@@ -460,7 +461,8 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
     diagram, seed times the element it was reached from, only when its
     permutation is new, and no two elements are compared as diagrams.
     The elements are sorted by domain size, then by the ``Leaf.key``
-    tuples of domain and range, then by permutation.
+    tuples of domain and range, compared as ranks in one canonical order
+    of all their leaves, then by permutation.
     """
     if cap < 1:
         raise TermError("cap must be at least 1")
@@ -500,10 +502,12 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
                         f"subgroup closure exceeded cap {cap}"
                     )
         frontier = nxt
+    rank = {c: k for k, c in enumerate(canonical_order(
+        {c for g in elems for b in (g.domain, g.range) for c in b.cells}))}
     order = sorted(range(len(elems)), key=lambda i: (
         len(elems[i].domain),
-        tuple(c.key() for c in elems[i].domain.cells),
-        tuple(c.key() for c in elems[i].range.cells),
+        tuple(rank[c] for c in elems[i].domain.cells),
+        tuple(rank[c] for c in elems[i].range.cells),
         elems[i].perm,
     ))
     at = {i: k for k, i in enumerate(order)}

@@ -3,11 +3,13 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last ten are the engine's own
-earlier loops, kept as references for the faster versions that replaced
+lattice operations they cross-check.  The last twelve are the engine's
+own earlier loops, kept as references for the versions that replaced
 them: ``certified_enumerate``, ``restart_reduce``,
 ``stepwise_expansion_script``, ``search_glb``,
 ``scan_normalizer``, ``scan_letter_centralizer``,
+``copywise_kernel_element`` and ``copywise_lift`` (each type's orbit
+copies walked one by one, where the engine has one diagonal map),
 ``conjugation_orbit_types`` (orbits searched point by point, types
 found by conjugating whole stabilisers), ``scan_close_subgroup`` (a
 breadth-first search over diagrams, each new one compared with every
@@ -68,6 +70,7 @@ from cantorv.terms import (
     root_leaf,
     sibling_families,
     split_leaf,
+    transport,
 )
 
 ZERO = Fraction(0)
@@ -401,6 +404,57 @@ def scan_letter_centralizer(report, type_id: str) -> tuple[tuple[int, ...], ...]
         for perm in itertools.permutations(range(tdata.m))
         if all(_perm_mul(perm, s) == _perm_mul(s, perm) for s in image)
     )
+
+
+def _orbit_copies_and_rest(report, type_id: str):
+    """For each orbit of the type, in quotient root order, the list of its
+    Y-leaves by letter; and the identity on the Y-leaves of every orbit
+    not of the type."""
+    tdata = report.types[type_id]
+    cells = report.basis.cells
+    copies = [[cells[pos] for pos in report.orbits[oid].numbering] for oid in tdata.orbit_ids]
+    rest = {
+        cells[pos]: cells[pos]
+        for orb in report.orbits
+        if orb.type_id != type_id
+        for pos in orb.indices
+    }
+    return copies, rest
+
+
+def copywise_kernel_element(report, type_id: str, k) -> Element:
+    """Reference ``build_kernel_element``: each orbit copy of the type in
+    turn, and inside it each quotient cell under its root carried to every
+    letter and to the letter its label names."""
+    copies, mapping = _orbit_copies_and_rest(report, type_id)
+    for j, letter_cells in enumerate(copies):
+        qroot = root_leaf(k.qspec, j)
+        for a in k.basis.cells:
+            if a.root != j:
+                continue
+            lab = k.labels[a]
+            for pos_k, target in enumerate(letter_cells):
+                src = transport(qroot, target, a)
+                dst = transport(qroot, letter_cells[lab[pos_k]], a)
+                mapping[src] = dst
+    return _from_mapping(report.basis.spec, mapping)
+
+
+def copywise_lift(report, type_id: str, v: Element) -> Element:
+    """Reference ``splitting_lift``: each domain cell of the quotient
+    element carried, letter by letter, from its root's orbit copy onto its
+    range cell in the range root's orbit copy."""
+    copies, mapping = _orbit_copies_and_rest(report, type_id)
+    qspec = v.spec
+    for i, dcell in enumerate(v.domain.cells):
+        rcell = v.range.cells[v.perm[i]]
+        src_root = root_leaf(qspec, dcell.root)
+        dst_root = root_leaf(qspec, rcell.root)
+        for letter in range(report.types[type_id].m):
+            src = transport(src_root, copies[dcell.root][letter], dcell)
+            dst = transport(dst_root, copies[rcell.root][letter], rcell)
+            mapping[src] = dst
+    return _from_mapping(report.basis.spec, mapping)
 
 
 def conjugation_orbit_types(y: Basis, q) -> InvariantBasisReport:

@@ -17,6 +17,7 @@ from cantorv.centralizer import (
     KernelElement,
     build_kernel_element,
     centralizer_structure,
+    decompose_fixing_element,
     encode_kernel_element,
     expand_kernel,
     invariant_basis,
@@ -60,6 +61,8 @@ from cantorv.terms import (
 
 from oracles import (
     conjugation_orbit_types,
+    copywise_kernel_element,
+    copywise_lift,
     iterated_invariant_basis,
     scan_close_subgroup,
     scan_letter_centralizer,
@@ -276,6 +279,14 @@ def test_kernel_single_swap_label_is_sigma(v21):
     a = Basis.roots(qs)
     k = KernelElement(qs, a, {a.cells[0]: (1, 0)})
     assert equals(build_kernel_element(rep, "regular", k), sigma)
+
+
+@pytest.mark.parametrize("label", [(0, 0), (1, 1), (1, 2), (1,)])
+def test_kernel_labels_must_be_permutations(v21, label):
+    q, rep, L, qs = _regular_setup(v21)
+    a = Basis.roots(qs)
+    with pytest.raises(TermError, match=re.escape(f"label {label} is not a permutation")):
+        KernelElement(qs, a, {a.cells[0]: label})
 
 
 def test_kernel_elements_commute_with_group(v21):
@@ -828,6 +839,22 @@ def test_closure_refuses_what_the_scan_refuses(v21):
     assert refused > 0
 
 
+def test_closure_orders_elements_without_leaf_keys(v21, psl27, monkeypatch):
+    def refuse(leaf):
+        raise AssertionError("Leaf.key called")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(T.Leaf, "key", refuse)
+        q = close_subgroup(psl27_generators(v21), 200)
+    by_keys = sorted(q.elements, key=lambda g: (
+        len(g.domain),
+        tuple(c.key() for c in g.domain.cells),
+        tuple(c.key() for c in g.range.cells),
+        g.perm,
+    ))
+    assert q.elements == tuple(by_keys) == psl27.elements
+
+
 def test_report_asks_represent_on_only_for_generators_on_new_bases(
     benchmark_subgroups, monkeypatch
 ):
@@ -943,6 +970,78 @@ def test_decompose_handles_root_swaps():
     decomposition = decompose_fixing_element(rep, swap)
     assert decomposition is not None
     assert decomposition["trivial"][1] == (1, 0)
+
+
+def _nine_cycle_group(v31):
+    """A 9-cycle on the nine leaves of the balanced v31 basis: one regular
+    orbit, above ``type_centralizer_L``'s default cap of 8 letters."""
+    x = Basis.roots(v31)
+    b = expand(x, x.cells[0], 0)
+    for cell in b.cells:
+        b = expand(b, cell, 0)
+    return close_subgroup([permutation_element(b, [*range(1, 9), 0])], 9)
+
+
+def test_decompose_reads_letter_centralisers_without_the_cap(v31):
+    q = _nine_cycle_group(v31)
+    report = invariant_basis_report(q)
+    assert [(t.m, t.r) for t in report.types.values()] == [(9, 1)]
+    assert decompose_fixing_element(report, identity(v31)) == {
+        "regular": ((tuple(range(9)),), (0,))
+    }
+    assert decompose_fixing_element(report, q.generators[0]) == {
+        "regular": (((*range(1, 9), 0),), (0,))
+    }
+
+
+def _diagonal_cases(v21, v31, benchmark_subgroups, psl27):
+    groups = [q for q, _ in benchmark_subgroups + _reference_groups(v21, v31)]
+    return groups + _random_subgroups(v21) + [psl27, _nine_cycle_group(v31)]
+
+
+def _seeded_labels(report, tid, cells, rng):
+    """A seeded letter-centraliser label per cell, or the identity label
+    where the orbit is longer than ``type_centralizer_L``'s cap."""
+    m = report.types[tid].m
+    L = type_centralizer_L(report, tid) if m <= 8 else [tuple(range(m))]
+    return {c: rng.choice(L) for c in cells}
+
+
+def test_diagonal_map_matches_copywise_references(v21, v31, benchmark_subgroups, psl27):
+    rng = random.Random(25)
+    for q in _diagonal_cases(v21, v31, benchmark_subgroups, psl27):
+        report = invariant_basis_report(q)
+        for tid, tdata in report.types.items():
+            qs = quotient_spec(q.spec, tdata.r)
+            roots = Basis.roots(qs)
+            fine = expand(roots, rng.choice(roots.cells), rng.randrange(qs.num_colors))
+            for basis in (roots, fine):
+                k = KernelElement(qs, basis, _seeded_labels(report, tid, basis.cells, rng))
+                got = build_kernel_element(report, tid, k)
+                assert got.key() == copywise_kernel_element(report, tid, k).key()
+            v = random_element(qs, qs.roots + 2, rng.randrange(2**31))
+            assert splitting_lift(report, tid, v).key() == copywise_lift(report, tid, v).key()
+
+
+def test_decompose_returns_the_labels_and_root_permutation(
+    v21, v31, benchmark_subgroups, psl27
+):
+    rng = random.Random(26)
+    for q in _diagonal_cases(v21, v31, benchmark_subgroups, psl27):
+        report = invariant_basis_report(q)
+        unmoved = {
+            tid: ((tuple(range(t.m)),) * t.r, tuple(range(t.r)))
+            for tid, t in report.types.items()
+        }
+        for tid, tdata in report.types.items():
+            roots = Basis.roots(quotient_spec(q.spec, tdata.r))
+            labels = _seeded_labels(report, tid, roots.cells, rng)
+            root_perm = rng.sample(range(tdata.r), tdata.r)
+            kernel = build_kernel_element(report, tid, KernelElement(roots.spec, roots, labels))
+            lift = splitting_lift(report, tid, permutation_element(roots, root_perm))
+            expected = dict(unmoved)
+            expected[tid] = (tuple(labels[c] for c in roots.cells), tuple(root_perm))
+            assert decompose_fixing_element(report, compose(lift, kernel)) == expected
 
 
 def _count_calls_beneath(monkeypatch, callers):

@@ -454,17 +454,32 @@ def test_malformed_element_numbers_are_domain_errors(tmp_path, spec_file, text):
     "root:0 [0/1,1/1) -> a,b\n",
 ])
 def test_malformed_kernel_lines_are_domain_errors(tmp_path, spec_file, v21, text):
+    for argv in _kernel_commands(tmp_path, spec_file, v21, text):
+        _assert_domain_error(argv)
+
+
+def test_kernel_labels_that_are_not_permutations_are_named(tmp_path, spec_file, v21):
+    for argv in _kernel_commands(tmp_path, spec_file, v21, "root:0 [0/1,1/1) -> 0,0\n"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == 1
+        assert err.getvalue() == "error: label (0, 0) is not a permutation\n"
+
+
+def _kernel_commands(tmp_path, spec_file, v21, text):
+    """``centralizer build-kernel`` and ``encode`` on the kernel ``text``,
+    for the swap of the halves."""
     x = Basis.roots(v21)
     sigma = permutation_element(expand(x, x.cells[0], 0), [1, 0])
     grp = tmp_path / "q.grp"
     grp.write_text(group_to_text(close_subgroup([sigma], 8)))
     kern = tmp_path / "bad.kern"
     kern.write_text(text)
-    for cmd in ("build-kernel", "encode"):
-        _assert_domain_error(
-            ["centralizer", cmd, "--spec", spec_file, "--group", str(grp),
-             "--type", "regular", "--kernel", str(kern)]
-        )
+    return [
+        ["centralizer", cmd, "--spec", spec_file, "--group", str(grp),
+         "--type", "regular", "--kernel", str(kern)]
+        for cmd in ("build-kernel", "encode")
+    ]
 
 
 # -- leaf indices and integers on the command line ---------------------------
