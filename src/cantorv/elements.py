@@ -21,7 +21,6 @@ from .terms import (
     Leaf,
     TermError,
     check_leaf,
-    expand,
     expansion_script,
     find_ancestor,
     lub,
@@ -67,7 +66,9 @@ class Element:
     __slots__ = ("spec", "domain", "range", "perm", "_hash")
 
     def __init__(self, spec: AlgebraSpec, domain: Basis, range_: Basis, perm):
-        if domain.spec != spec or range_.spec != spec:
+        if (domain.spec is not spec and domain.spec != spec) or (
+            range_.spec is not spec and range_.spec != spec
+        ):
             raise TermError("element bases belong to a different spec")
         if len(domain) != len(range_):
             raise TermError("domain and range have different sizes")
@@ -127,7 +128,7 @@ def invert(g: Element) -> Element:
 
 
 def _same_spec(g: Element, h: Element) -> None:
-    if g.spec != h.spec:
+    if g.spec is not h.spec and g.spec != h.spec:
         raise TermError("elements belong to different specs")
 
 
@@ -358,11 +359,11 @@ def random_element(spec: AlgebraSpec, size_bound: int, seed: int) -> Element:
         size += spec.arity(c) - 1
 
     def build(order):
-        basis = Basis.roots(spec)
+        script, size = [], spec.roots
         for color in order:
-            leaf = basis.cells[rng.randrange(len(basis))]
-            basis = expand(basis, leaf, color)
-        return basis
+            script.append((rng.randrange(size), color))
+            size += spec.arity(color) - 1
+        return replay_script(spec, script)
 
     domain = build(colors)
     shuffled = list(colors)

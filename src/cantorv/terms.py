@@ -24,6 +24,7 @@ from .algebra import AlgebraSpec
 ZERO = Fraction(0)
 ONE = Fraction(1)
 PATTERN_CACHE_LIMIT = 1 << 15  # entries of a spec's "patterns" memo, cleared when full
+LEAF_CACHE_LIMIT = 1 << 15  # entries of a spec's "splits" and "parents" memos, cleared when full
 
 
 class TermError(ValueError):
@@ -110,7 +111,13 @@ def _order_key(cells):
     """``Leaf.key`` on integers: each block's interval ends scaled to the
     common denominator of ``cells`` in that block.  The key also orders
     every coarser cell, whose denominators divide those of the cells."""
-    scales = [math.lcm(*(n for _, _, n in col)) for col in zip(*(c.grid for c in cells))]
+    columns = zip(*(c.grid for c in cells))
+    return _scaled_key([math.lcm(*(n for _, _, n in col)) for col in columns])
+
+
+def _scaled_key(scales):
+    """``Leaf.key`` on integers for the leaves whose denominator in each
+    block divides that block's entry of ``scales``."""
 
     def key(leaf: Leaf) -> tuple:
         out = [leaf.root]
@@ -132,7 +139,11 @@ def canonical_order(cells) -> list[Leaf]:
 
 
 def root_leaf(spec: AlgebraSpec, root: int) -> Leaf:
-    return _on_grid(root, ((0, 1, 1),) * spec.num_blocks)
+    """The spec's own leaf of root ``root``, one object per root."""
+    roots = spec.cache("roots")
+    if root not in roots:
+        roots[root] = _on_grid(root, ((0, 1, 1),) * spec.num_blocks)
+    return roots[root]
 
 
 def _valid_coord(spec: AlgebraSpec, block_index: int, coord) -> bool:
@@ -156,8 +167,23 @@ def check_leaf(spec: AlgebraSpec, leaf: Leaf) -> None:
             raise TermError(f"invalid interval [{lo},{hi}) in block {bi}")
 
 
+def _bounded_memo(spec: AlgebraSpec, name: str, limit: int) -> dict:
+    """The spec's memo ``name``, cleared first if it holds ``limit``
+    entries."""
+    cache = spec.cache(name)
+    if len(cache) >= limit:
+        cache.clear()
+    return cache
+
+
 def split_leaf(spec: AlgebraSpec, leaf: Leaf, color: int) -> tuple[Leaf, ...]:
-    """The ordered children of ``leaf`` under one splitting move."""
+    """The ordered children of ``leaf`` under one splitting move.
+
+    Memoised per spec, so a cell split twice yields the same child objects
+    and dict and set lookups of those children meet identical keys."""
+    kids = spec.cache("splits").get((leaf, color))
+    if kids is not None:
+        return kids
     bi, n = spec.colors[color]
     a, c, m = leaf.grid[bi]
     w = c - a
@@ -165,11 +191,14 @@ def split_leaf(spec: AlgebraSpec, leaf: Leaf, color: int) -> tuple[Leaf, ...]:
     lo, den = a * n, m * n
     if w == 1:
         # consecutive numerators are coprime: the children are in lowest terms
-        return tuple(_on_grid(root, head + ((x, x + 1, den),) + tail) for x in range(lo, lo + n))
-    return tuple(
-        _on_grid(root, head + (_coord(lo + k * w, lo + (k + 1) * w, den),) + tail)
-        for k in range(n)
-    )
+        kids = tuple(_on_grid(root, head + ((x, x + 1, den),) + tail) for x in range(lo, lo + n))
+    else:
+        kids = tuple(
+            _on_grid(root, head + (_coord(lo + k * w, lo + (k + 1) * w, den),) + tail)
+            for k in range(n)
+        )
+    _bounded_memo(spec, "splits", LEAF_CACHE_LIMIT)[leaf, color] = kids
+    return kids
 
 
 def leaf_contains(outer: Leaf, inner: Leaf) -> bool:
@@ -279,9 +308,7 @@ def _admissible_pattern(spec: AlgebraSpec, cuboid: Leaf, cells: frozenset):
         else:
             result = ("split", color, tuple(subtrees))
             break
-    if len(cache) >= PATTERN_CACHE_LIMIT:
-        cache.clear()
-    cache[key] = result
+    _bounded_memo(spec, "patterns", PATTERN_CACHE_LIMIT)[key] = result
     return result
 
 
@@ -438,16 +465,17 @@ class Basis:
 
     ``trees`` maps each root to a split tree that replays to the basis's
     cells on that root; the k-th leaf of the trees, root by root, is
-    ``cells[leaf_order[k]]``.  ``expand``, ``max_elementary``, ``lub``,
-    ``glb`` and the images and products of elements carry the trees they
-    built, passing the cells in their leaf order.  Every other constructor
-    (``from_cells``, ``from_cells_trusted``, ``roots`` and the bases of
-    ``_search``: parsed bases, contractions, reductions, enumerations and
-    cones) takes the canonical trees, the ``certificate``, and
-    ``leaf_order`` is read off them on first use.  The certificate is a
-    function of the cells alone and is computed on first read when none is
-    passed; enumerations and lower closures (``_search``) pass none, since
-    their moves yield admissible cell sets only.
+    ``cells[leaf_order[k]]``.  ``expand``, ``replay_script``,
+    ``max_elementary``, ``lub``, ``glb`` and the images and products of
+    elements carry the trees they built, passing the cells in their leaf
+    order.  Every other constructor (``from_cells``, ``from_cells_trusted``,
+    ``roots`` and the bases of ``_search``: parsed bases, contractions,
+    reductions, enumerations and cones) takes the canonical trees, the
+    ``certificate``, and ``leaf_order`` is read off them on first use.
+    The certificate is a function of the cells alone and is computed on
+    first read when none is passed; enumerations and lower closures
+    (``_search``) pass none, since their moves yield admissible cell sets
+    only.
     """
 
     __slots__ = ("spec", "cells", "_cellset", "_index", "_cert", "_trees", "_order", "_hash")
@@ -579,16 +607,21 @@ def expand(b: Basis, leaf: Leaf, color: int) -> Basis:
 
 def _parent(spec: AlgebraSpec, child: Leaf, color: int) -> Leaf | None:
     """The cell that one split by ``color`` has ``child`` as a child of, or
-    None if there is no such cell."""
+    None if there is no such cell; memoised per spec, None answers too."""
+    parents = spec.cache("parents")
+    key = (child, color)
+    if key in parents:
+        return parents[key]
     bi, n = spec.colors[color]
     # a child [a/m, (a+1)/m) has the parent [(a//n)/(m/n), (a//n + 1)/(m/n))
     a, c, m = child.grid[bi]
-    if c != a + 1 or m % n:
-        return None
-    coord = (a // n, a // n + 1, m // n)
-    if not _valid_coord(spec, bi, coord):
-        return None
-    return _on_grid(child.root, child.grid[:bi] + (coord,) + child.grid[bi + 1 :])
+    parent = None
+    if c == a + 1 and m % n == 0:
+        coord = (a // n, a // n + 1, m // n)
+        if _valid_coord(spec, bi, coord):
+            parent = _on_grid(child.root, child.grid[:bi] + (coord,) + child.grid[bi + 1 :])
+    _bounded_memo(spec, "parents", LEAF_CACHE_LIMIT)[key] = parent
+    return parent
 
 
 def parent_of_family(spec: AlgebraSpec, family, color: int) -> Leaf | None:
@@ -943,13 +976,49 @@ def expansion_script(b: Basis) -> list[tuple[int, int]]:
     return script
 
 
-def replay_script(spec: AlgebraSpec, script, start: Basis | None = None) -> Basis:
-    basis = start if start is not None else Basis.roots(spec)
+def replay_script(spec: AlgebraSpec, script) -> Basis:
+    """The basis a (leaf index, colour) script reaches from the roots, each
+    index counted in the canonical order of the cells at its step.
+
+    The current cells are kept sorted by ``Leaf.key`` on one integer grid
+    per block, the product of the arities the script splits that block by,
+    which every cell's denominator divides.  The splits are recorded and
+    the split trees read off them, so only the final basis is built."""
+    script = list(script)
+    scales = [1] * spec.num_blocks
+    for _, color in script:
+        if 0 <= color < spec.num_colors:
+            bi, n = spec.colors[color]
+            scales[bi] *= n
+    key = _scaled_key(scales)
+    roots = [root_leaf(spec, r) for r in range(spec.roots)]
+    keys = [key(c) for c in roots]  # the current cells, sorted
+    cells = list(roots)
+    splits: dict[Leaf, int] = {}  # each split cell and its colour
     for idx, color in script:
-        if not 0 <= idx < len(basis):
+        if not 0 <= idx < len(cells):
             raise TermError(f"script index {idx} out of range")
-        basis = expand(basis, basis.cells[idx], color)
-    return basis
+        if not 0 <= color < spec.num_colors:
+            raise TermError(f"invalid colour {color}")
+        cell = cells.pop(idx)
+        del keys[idx]
+        splits[cell] = color
+        for child in split_leaf(spec, cell, color):
+            k = key(child)
+            i = bisect.bisect_left(keys, k)
+            keys.insert(i, k)
+            cells.insert(i, child)
+
+    def tree(cell: Leaf, out: list) -> tuple:
+        if cell not in splits:
+            out.append(cell)
+            return _LEAF
+        color = splits[cell]
+        return ("split", color, tuple([tree(kid, out) for kid in split_leaf(spec, cell, color)]))
+
+    ordered: list[Leaf] = []
+    trees = {r: tree(root, ordered) for r, root in enumerate(roots)}
+    return Basis(spec, ordered, trees=trees)
 
 
 def script_to_text(script) -> str:

@@ -535,6 +535,94 @@ def test_pattern_memo_is_cleared_at_its_bound(monkeypatch):
     assert 0 < memo.peak <= 16
 
 
+def _expand_replay(spec, script):
+    """``replay_script`` as one ``expand`` per step."""
+    basis = Basis.roots(spec)
+    for idx, color in script:
+        if not 0 <= idx < len(basis):
+            raise TermError(f"script index {idx} out of range")
+        basis = expand(basis, basis.cells[idx], color)
+    return basis
+
+
+def _random_script(spec, rng, steps):
+    script, size = [], spec.roots
+    for _ in range(steps):
+        color = rng.randrange(spec.num_colors)
+        script.append((rng.randrange(size), color))
+        size += spec.arity(color) - 1
+    return script
+
+
+@pytest.mark.parametrize(
+    "name", ["v21", "v31", "2v", "stein23", "brin23", "mixed232", "two_roots"]
+)
+def test_replay_script_matches_expand_by_expand(specs, name):
+    import random as _random
+
+    spec = parse_spec("roots=2; block[2,3]") if name == "two_roots" else specs[name]
+    rng = _random.Random(name)
+    for _ in range(48):
+        script = _random_script(spec, rng, rng.randrange(9))
+        got, want = replay_script(spec, script), _expand_replay(spec, script)
+        assert got.cells == want.cells
+        assert got.trees == want.trees
+        assert [got.cells[i] for i in got.leaf_order] == [want.cells[i] for i in want.leaf_order]
+        assert expansion_script(got) == expansion_script(want)
+
+
+def test_replay_script_errors_fire_at_the_same_step(stein23):
+    # one split by colour 1 (thirds) leaves indices 0..2; index 3 is out of range
+    bad_index = [(0, 1), (3, 0), (0, 7)]
+    bad_color = [(0, 1), (2, 7), (9, 0)]
+    for script, message in [(bad_index, "script index 3 out of range"),
+                            (bad_color, "invalid colour 7")]:
+        for replay in (replay_script, _expand_replay):
+            with pytest.raises(TermError, match=message):
+                replay(stein23, script)
+    with pytest.raises(TermError, match="script index -1 out of range"):
+        replay_script(stein23, [(-1, 0)])
+    with pytest.raises(TermError, match="invalid colour -1"):
+        replay_script(stein23, [(0, -1)])
+
+
+def test_split_parent_and_root_are_shared_objects():
+    spec = parse_spec("roots=2; block[2,3]; block[2]")
+    root = root_leaf(spec, 1)
+    assert root_leaf(spec, 1) is root
+    kids = split_leaf(spec, root, 1)
+    assert split_leaf(spec, root, 1) is kids
+    # an equal leaf built anew meets the same children
+    twin = Leaf(1, ((F(0), F(1)), (F(0), F(1))))
+    assert twin is not root and split_leaf(spec, twin, 1) is kids
+    for kid in kids:
+        assert terms._parent(spec, kid, 1) == root
+        assert terms._parent(spec, kid, 1) is terms._parent(spec, kid, 1)
+    grand = split_leaf(spec, kids[2], 2)[1]
+    fresh = Leaf(grand.root, grand.intervals)
+    assert terms._parent(spec, fresh, 2) is terms._parent(spec, grand, 2) == kids[2]
+    # a root has no parent, and the answer is kept
+    assert terms._parent(spec, root, 0) is None
+    assert (root, 0) in spec.cache("parents")
+
+
+def _window_with_leaf_memos():
+    spec = parse_spec("roots=1; block[2,3]; block[2]")
+    memos = [spec._caches.setdefault(name, _PeakDict()) for name in ("splits", "parents")]
+    bases = enumerate_bases(spec, 6)
+    out = [(b.cells, b.trees, b.leaf_order, sibling_families(spec, b.cells)) for b in bases]
+    return out, memos
+
+
+def test_leaf_memos_are_cleared_at_their_bound(monkeypatch):
+    full, memos = _window_with_leaf_memos()
+    assert all(memo.peak > 16 for memo in memos)
+    monkeypatch.setattr(terms, "LEAF_CACHE_LIMIT", 16)
+    bounded, memos = _window_with_leaf_memos()
+    assert bounded == full
+    assert all(0 < memo.peak <= 16 for memo in memos)
+
+
 # -- elementary structure ----------------------------------------------------
 
 def test_two_level_tree_not_elementary(v21):

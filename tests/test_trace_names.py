@@ -16,7 +16,8 @@ import cantorv.centralizer as Z
 import cantorv.cones as C
 import cantorv.elements as E
 import cantorv.stein as S
-from cantorv.terms import Basis, Leaf, expand
+import cantorv.terms as T
+from cantorv.terms import Basis, Leaf
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,6 +28,7 @@ EXPECTED_SPANS = [
     "terms.sibling_families",
     "terms.basis_build",
     "terms.expand",
+    "terms.replay_script",
     "terms.enumerate_bases",
     "elements.reduce",
     "elements.equals",
@@ -72,7 +74,7 @@ def _run_mix(spec):
     assert not E.equals(g, h)
 
     x = Basis.roots(spec)
-    halves = expand(x, x.cells[0], 0)
+    halves = T.expand(x, x.cells[0], 0)
     q = E.close_subgroup([E.permutation_element(halves, [1, 0])], 8)
     report = Z.centralizer_structure(q).report
     Z.normalizer_analysis(q)
