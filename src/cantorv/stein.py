@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 from .algebra import AlgebraSpec
@@ -21,9 +21,10 @@ from .terms import (
     Basis,
     TermError,
     _parent,
-    _single_splits,
     _split_paths,
     enumerate_bases,
+    leaf_to_text,
+    split_leaf,
 )
 
 
@@ -48,9 +49,10 @@ class SimplicialComplex:
     different insertion order can have different reprs, and then list
     their simplices differently.  Code that builds link vertices inserts
     their blocks by least leaf, as ``link_vertices`` does.  ``flag``
-    renders a frozenset vertex from memoised member reprs, which gives the
-    same strings as long as equal members have equal reprs, as they do in
-    every vertex the engine builds.
+    renders a frozenset vertex from memoised member reprs, and a ``Basis``
+    vertex from memoised cell texts, which gives the same strings as long
+    as equal members have equal reprs, as they do in every vertex the
+    engine builds.
 
     The constructor raises ComplexError unless each simplex is listed in
     its own dimension and every face of it is listed too.
@@ -110,8 +112,9 @@ class SimplicialComplex:
         kept as a bit of its lower end's mask of higher neighbours.  Cliques
         grow one dimension at a time, each by the vertices after its last
         one that are adjacent to all of it, so every dimension comes out in
-        lexicographic order.  The result is face-closed by construction and
-        is not checked again."""
+        lexicographic order.  Both loops walk a mask by its lowest set bit,
+        inline.  The result is face-closed by construction and is not
+        checked again."""
         reprs = _reprs(vertices)
         order = sorted(range(len(reprs)), key=reprs.__getitem__)
         new = [0] * len(order)
@@ -120,17 +123,29 @@ class SimplicialComplex:
         upper = [0] * len(order)
         for i, mask in enumerate(neighbours):
             a = new[i]
-            for j in _bits(mask):
-                b = new[j]
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                b = new[low.bit_length() - 1]
                 if a < b:
                     upper[a] |= 1 << b
                 elif b < a:
                     upper[b] |= 1 << a
         by_dim: dict[int, list[tuple]] = {}
-        level = [((k,), mask) for k, mask in enumerate(upper)]
-        while level:
-            by_dim[len(by_dim)] = [c for c, _ in level]
-            level = [(c + (j,), mask & upper[j]) for c, mask in level for j in _bits(mask)]
+        # each clique, and the mask of the vertices that can grow it
+        cliques, masks = [(k,) for k in range(len(upper))], upper
+        while cliques:
+            by_dim[len(by_dim)] = cliques
+            grown, grown_masks = [], []
+            add, add_mask = grown.append, grown_masks.append
+            for c, mask in zip(cliques, masks):
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    j = low.bit_length() - 1
+                    add(c + (j,))
+                    add_mask(mask & upper[j])
+            cliques, masks = grown, grown_masks
         return SimplicialComplex._of([vertices[i] for i in order], by_dim)
 
     def vertices(self) -> list:
@@ -198,15 +213,32 @@ class SimplicialComplex:
 
 def _reprs(vertices) -> list[str]:
     """``[repr(v) for v in vertices]``, with the repr of each distinct
-    member of the frozenset vertices taken once: a non-empty frozenset's
-    repr joins its members' reprs, in iteration order, inside
-    ``frozenset({...})``.  Equal members are taken to have equal reprs."""
-    member = cache(repr)
+    member of the frozenset vertices and the text of each distinct cell of
+    the ``Basis`` vertices taken once: a non-empty frozenset's repr joins
+    its members' reprs, in iteration order, inside ``frozenset({...})``,
+    and a basis's joins its cells' ``leaf_to_text`` inside ``Basis[...]``.
+    Equal members are taken to have equal reprs."""
+    member = _Memo(repr)
+    cell = _Memo(leaf_to_text)
     return [
-        "frozenset({" + ", ".join(map(member, v)) + "})" if type(v) is frozenset and v
+        "frozenset({" + ", ".join(map(member.__getitem__, v)) + "})"
+        if type(v) is frozenset and v
+        else "Basis[" + "; ".join(map(cell.__getitem__, v.cells)) + "]"
+        if type(v) is Basis
         else repr(v)
         for v in vertices
     ]
+
+
+class _Memo(dict):
+    """A dict that fills in a missing key with ``fn(key)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _bits(mask: int):
@@ -262,7 +294,9 @@ class ChainComplexReport:
 def _reduce_gf2(d: int, faces, pivots: dict[int, set[int]]) -> None:
     """Reduce the GF(2) boundary column of a d-simplex, given by the indices
     of its faces, against ``pivots`` (keyed by each column's largest face),
-    and add it there unless it reduces to zero."""
+    and add it there unless it reduces to zero.  Columns are sets, not int
+    bitsets: a stored int column takes one bit per face index below its
+    pivot, so its memory grows with the complex, not with the fill-in."""
     column = set(faces)
     while column:
         low = max(column)
@@ -308,7 +342,7 @@ def _boundary_ranks(simplices: dict[int, list[tuple]], reduce_column) -> dict[in
     smaller simplices; by induction every cleared column lies in the span
     of the built ones.  Dimension 0 bounds the empty simplex, rank 1."""
     ranks = {0: 1}
-    cleared: dict = {}
+    cleared: set = set()
     for d in range(max(simplices), 0, -1):
         index = {s: i for i, s in enumerate(simplices.get(d - 1, ()))}.__getitem__
         pivots: dict = {}
@@ -316,7 +350,7 @@ def _boundary_ranks(simplices: dict[int, list[tuple]], reduce_column) -> dict[in
             if k not in cleared:
                 reduce_column(d, map(index, itertools.combinations(s, d)), pivots)
         ranks[d] = len(pivots)
-        cleared = pivots
+        cleared = set(pivots)  # the keys only, so the columns can go
     return ranks
 
 
@@ -380,52 +414,81 @@ def build_stein(spec: AlgebraSpec, size_cap: int, cap: int | None = None) -> Sim
     """
     bases = enumerate_bases(spec, size_cap, cap=cap)
     n = len(bases)
-    index = {b.cellset(): i for i, b in enumerate(bases)}
+    # number the cells of the window, and take each basis as the bitset of
+    # its cells' numbers
+    window: dict = {}
+    ids = [[window.setdefault(cell, len(window)) for cell in b.cells] for b in bases]
+    own = [sum(1 << k for k in ks) for ks in ids]
+    index = {mask: i for i, mask in enumerate(own)}
     # a <= b means b is reachable from a by single splits, all of them
     # inside the window, so the strict order is the transitive closure of
-    # the covers; bases come by size, so the covers of i come after i
+    # the covers; bases come by size, so the covers of i come after i.  A
+    # cover swaps one cell's bit for its children's, all in the window
+    arities = [arity for _, arity in spec.colors]
+    leaves = list(window)
+    children: dict = {}
     above = [0] * n
     for i in range(n - 1, -1, -1):
-        for cells in _single_splits(bases[i], size_cap):
-            j = index[cells]
-            above[i] |= (1 << j) | above[j]
+        room = size_cap - len(ids[i]) + 1
+        for k in ids[i]:
+            rest = own[i] ^ 1 << k
+            for c, arity in enumerate(arities):
+                if arity <= room:
+                    kids = children.get((k, c))
+                    if kids is None:
+                        kids = children[k, c] = sum(
+                            1 << window[kid] for kid in split_leaf(spec, leaves[k], c)
+                        )
+                    j = index[rest | kids]
+                    above[i] |= (1 << j) | above[j]
     # i <= j is elementary unless a cell of i lies far above a cell of j;
     # the splits from i to j pass through bases of the window, so every
     # cell of i above a cell of j is reached by parents inside the window
-    window: dict = {}
-    own = [0] * n
-    for i, b in enumerate(bases):
-        for cell in b.cells:
-            own[i] |= window.setdefault(cell, 1 << len(window))
-    far = {cell: _far_above(spec, cell, window) for cell in window}
-    far_below = [reduce(or_, (far[cell] for cell in b.cells)) for b in bases]
-    return SimplicialComplex.flag(bases, [
-        sum(1 << j for j in _bits(up) if not own[i] & far_below[j])
-        for i, up in enumerate(above)
-    ])
+    far = _far_above(spec, window)
+    far_below = [reduce(or_, (far[k] for k in ks)) for ks in ids]
+    neighbours = []
+    for mine, up in zip(own, above):
+        mask = 0
+        while up:
+            low = up & -up
+            up ^= low
+            if not mine & far_below[low.bit_length() - 1]:
+                mask |= low
+        neighbours.append(mask)
+    return SimplicialComplex.flag(bases, neighbours)
 
 
-def _far_above(spec: AlgebraSpec, cell, window: dict) -> int:
-    """The bitset of the ``window`` cells above a cell with some colour
-    split at least twice on the way down to it, found by walking up through
-    parents inside the window.  Split counts do not depend on the route, and
-    once one of them reaches 2 every cell further up is far too."""
-    k = spec.num_colors
-    out = 0
-    seen = {cell}
-    stack = [(cell, (0,) * k)]
-    while stack:
-        child, counts = stack.pop()
-        for c in range(k):
-            parent = _parent(spec, child, c)
-            if parent is None or parent in seen or parent not in window:
+def _far_above(spec: AlgebraSpec, window: dict) -> list[int]:
+    """For the cells of ``window``, numbered by its values, the bitset of
+    the window cells above each with some colour split at least twice on
+    the way down to it, going up through parents inside the window.
+
+    One pass over the cells, coarse to fine (a parent's grid denominators
+    multiply to less than its child's), also keeps ``used[y][c]``, the
+    window cells above y with colour c split on the way down to y.  For a
+    parent p of y by colour c, the cells above p reach y with one more
+    split of c, so those far above p or using c already are far above y;
+    whatever used a colour on the way to p uses it on the way to y; and p
+    and all cells above it use c.  Split counts do not depend on
+    the route, so each parent's share is exact and their union is the
+    answer."""
+    colours = range(spec.num_colors)
+    far = [0] * len(window)
+    used: list = [None] * len(window)
+    for y, at in sorted(window.items(), key=lambda kv: math.prod(n for _, _, n in kv[0].grid)):
+        far_y = 0
+        used_y = [0] * len(colours)
+        for c in colours:
+            p = window.get(_parent(spec, y, c))
+            if p is None:
                 continue
-            seen.add(parent)
-            up = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
-            if max(up) > 1:
-                out |= window[parent]
-            stack.append((parent, up))
-    return out
+            used_p = used[p]
+            far_y |= far[p] | used_p[c]
+            used_y = [mine | theirs for mine, theirs in zip(used_y, used_p)]
+            used_y[c] |= 1 << p | reduce(or_, used_p)
+        far[at] = far_y
+        used[at] = used_y
+    return far
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +541,9 @@ def _partitions(leaves: frozenset, choices) -> list[tuple]:
 def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozenset]:
     """All contraction patterns of a t-leaf basis: partitions of the leaf
     positions into blocks, at least one of them coloured; ``very`` keeps
-    single-colour blocks only."""
+    single-colour blocks only.  Raises ComplexError for a negative t."""
+    if t < 0:
+        raise ComplexError(f"negative leaf count {t}")
     choices = [(cs, n) for cs, n in _block_choices(spec) if not very or len(cs) <= 1]
     parts = [
         blocks for blocks in _partitions(frozenset(range(t)), choices)
@@ -486,7 +551,7 @@ def link_vertices(spec: AlgebraSpec, t: int, very: bool = False) -> list[frozens
     ]
     # vertices sort by their sorted (leaves, colours) block lists; blocks
     # come by least leaf, which is already that order
-    key = cache(lambda block: (sorted(block[0]), sorted(block[1])))
+    key = _Memo(lambda block: (sorted(block[0]), sorted(block[1]))).__getitem__
     parts.sort(key=lambda blocks: list(map(key, blocks)))
     return [frozenset(blocks) for blocks in parts]
 
@@ -706,7 +771,9 @@ def model_Kn(spec: AlgebraSpec, n: int) -> SimplicialComplex:
     """Vertices are colour-labelled subsets of an n-element set (a subset
     labelled by colour c has arity(c) members); simplices are pairwise
     disjoint families.  For a single colour of arity 2 this is the matching
-    complex on n points."""
+    complex on n points.  Raises ComplexError for a negative n."""
+    if n < 0:
+        raise ComplexError(f"negative set size {n}")
     vertices = []
     for color in range(spec.num_colors):
         k = spec.arity(color)

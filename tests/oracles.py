@@ -3,7 +3,7 @@
 These are deliberately naive: exhaustive placement enumeration for cuboid
 partitions, and breadth-first reachability over single splitting moves.
 They share no code path with the recursive admissibility checker or the
-lattice operations they cross-check.  The last twelve are the engine's
+lattice operations they cross-check.  The last thirteen are the engine's
 own earlier loops, kept as references for the versions that replaced
 them: ``certified_enumerate``, ``restart_reduce``,
 ``stepwise_expansion_script``, ``search_glb``,
@@ -15,8 +15,11 @@ found by conjugating whole stabilisers), ``scan_close_subgroup`` (a
 breadth-first search over diagrams, each new one compared with every
 element found so far by ``equals``), ``iterated_invariant_basis`` (the
 images of the basis under every element of the subgroup, round after
-round) and ``dense_homology`` (every face list of every dimension, ranked
-as dense rows by ``_gf2_rank`` and ``_rational_rank``, with no clearing).
+round), ``dense_homology`` (every face list of every dimension, ranked
+as dense rows by ``_gf2_rank`` and ``_rational_rank``, with no clearing)
+and ``walk_far_above`` (one cell's far-above set by a walk up through its
+parents, where the engine has one recurrence over all cells of the
+window).
 """
 
 from __future__ import annotations
@@ -656,3 +659,28 @@ def dense_homology(
         betti_rational=betti_rat,
         euler=complex_.euler_characteristic(),
     )
+
+
+def walk_far_above(spec: AlgebraSpec, cell, window: dict) -> int:
+    """Reference for one cell of ``_far_above``: the bitset, over the
+    numbers that ``window`` gives its cells, of the window cells above
+    ``cell`` with some colour split at least twice on the way down to it,
+    found by walking up through parents inside the window.  Split counts do
+    not depend on the route, and once one of them reaches 2 every cell
+    further up is far too."""
+    k = spec.num_colors
+    out = 0
+    seen = {cell}
+    stack = [(cell, (0,) * k)]
+    while stack:
+        child, counts = stack.pop()
+        for c in range(k):
+            parent = _parent(spec, child, c)
+            if parent is None or parent in seen or parent not in window:
+                continue
+            seen.add(parent)
+            up = counts[:c] + (counts[c] + 1,) + counts[c + 1 :]
+            if max(up) > 1:
+                out |= 1 << window[parent]
+            stack.append((parent, up))
+    return out

@@ -386,6 +386,16 @@ def test_stein_cli(spec_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["link", "--size", "-3"],
+    ["homology", "--link", "-4"],
+    ["homology", "--kn", "-2"],
+    ["kn", "--n", "-2"],
+])
+def test_stein_negative_sizes_are_domain_errors(spec_file, argv):
+    _assert_domain_error(["stein", *argv, "--spec", spec_file])
+
+
 def test_stein_heights_cli(tmp_path, data_dir, brin2v):
     x = Basis.roots(brin2v)
     grid = x

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from cantorv.stein import (
 )
 from cantorv.terms import Basis, enumerate_bases, expand, leq, elementary_leq
 from conftest import SPEC_SOURCES
-from oracles import _gf2_rank, _rational_rank, dense_homology
+from oracles import _gf2_rank, _rational_rank, dense_homology, walk_far_above
 
 
 def _expand_all(basis, color):
@@ -264,6 +265,20 @@ def test_homology_matches_dense_reference_on_flag_complexes(neighbours):
 
 # -- model complex ----------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "build", [link_vertices, descending_link, very_elementary_link, model_Kn],
+    ids=["link_vertices", "descending_link", "very_elementary_link", "model_Kn"],
+)
+def test_negative_sizes_are_rejected(v21, build):
+    with pytest.raises(ComplexError, match="negative"):
+        build(v21, -1)
+
+
+def test_size_zero_gives_empty_complexes(v21):
+    assert link_vertices(v21, 0) == []
+    assert descending_link(v21, 0).is_empty() and model_Kn(v21, 0).is_empty()
+
+
 def test_model_k4_matching_complex(v21):
     k4 = model_Kn(v21, 4)
     assert k4.f_vector() == {0: 6, 1: 3}
@@ -384,6 +399,27 @@ def _chain_stein(spec, cap):
 def test_build_stein_matches_chains_at_six_leaves(specs, name):
     cx = build_stein(specs[name], 6)
     assert cx.simplices == _chain_stein(specs[name], 6).simplices
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_SOURCES))
+def test_far_above_matches_parent_walk(specs, name):
+    # the coarse-to-fine recurrence against a walk up from each cell, on the
+    # cells of every build_stein window up to five leaves above the roots;
+    # such a window holds every parent of its cells, so seeded random halves
+    # of it check the routes around missing parents too
+    spec = specs[name]
+    rng = random.Random(name)
+    far_pairs = 0
+    for size_cap in range(spec.roots, spec.roots + 6):
+        cells: dict = {}
+        for b in enumerate_bases(spec, size_cap):
+            cells.update(dict.fromkeys(b.cells))
+        for kept in [list(cells)] + [rng.sample(list(cells), len(cells) // 2) for _ in range(3)]:
+            window = {cell: k for k, cell in enumerate(kept)}
+            far = stein_module._far_above(spec, window)
+            assert far == [walk_far_above(spec, cell, window) for cell in window]
+            far_pairs += sum(bin(mask).count("1") for mask in far)
+    assert far_pairs > 0
 
 
 def test_simplex_order_is_by_vertex_reprs(v21, stein23):
