@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .algebra import AlgebraSpec
 from .terms import (
     Basis,
-    canonical_order,
     cells_admissible,
     Leaf,
     TermError,
@@ -36,7 +35,6 @@ from .terms import (
     _clip,
     _graft,
     _merge,
-    _order_key,
     _parent,
     _require_same_spec,
     _tree_cells,
@@ -239,8 +237,7 @@ def reduce(g: Element) -> Element:
     """
     spec = g.spec
     mapping = {c: g.range.cells[p] for c, p in zip(g.domain.cells, g.perm)}
-    key = _order_key(mapping)  # every later cell coarsens these
-    heap = [(color, key(fam[0]), fam, parent)
+    heap = [(color, fam[0].sort_key, fam, parent)
             for color, fam, parent in sibling_families(spec, mapping, mapping)]
     heapq.heapify(heap)
     while heap:
@@ -260,7 +257,7 @@ def reduce(g: Element) -> Element:
                     for x in split_leaf(spec, up, i) if x in mapping}
         for color, fam, new in sibling_families(spec, siblings, mapping):
             if parent in fam:
-                heapq.heappush(heap, (color, key(fam[0]), fam, new))
+                heapq.heappush(heap, (color, fam[0].sort_key, fam, new))
     if len(mapping) == len(g.domain):
         return g
     return _from_mapping(spec, mapping)
@@ -462,8 +459,8 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
     diagram, seed times the element it was reached from, only when its
     permutation is new, and no two elements are compared as diagrams.
     The elements are sorted by domain size, then by the ``Leaf.key``
-    tuples of domain and range, compared as ranks in one canonical order
-    of all their leaves, then by permutation.
+    tuples of domain and range, compared on the leaves' ``sort_key``s,
+    then by permutation.
     """
     if cap < 1:
         raise TermError("cap must be at least 1")
@@ -503,12 +500,10 @@ def close_subgroup(gens, cap: int) -> FiniteSubgroup:
                         f"subgroup closure exceeded cap {cap}"
                     )
         frontier = nxt
-    rank = {c: k for k, c in enumerate(canonical_order(
-        {c for g in elems for b in (g.domain, g.range) for c in b.cells}))}
     order = sorted(range(len(elems)), key=lambda i: (
         len(elems[i].domain),
-        tuple(rank[c] for c in elems[i].domain.cells),
-        tuple(rank[c] for c in elems[i].range.cells),
+        tuple(c.sort_key for c in elems[i].domain.cells),
+        tuple(c.sort_key for c in elems[i].range.cells),
         elems[i].perm,
     ))
     at = {i: k for k, i in enumerate(order)}

@@ -6,8 +6,9 @@ roots by splitting moves.  Every interval a splitting move produces is a
 grid cell ``[k/N, (k+1)/N)`` with ``N`` a product of the block's arities,
 so a leaf stores each interval as integers on that grid, and splitting,
 containment, transport and relative exponents are exact integer
-arithmetic.  ``Fraction`` remains only at the text boundary, in volumes and
-in the read-only ``Leaf.intervals`` view.
+arithmetic.  ``Fraction`` remains only at the text boundary, in volumes, in
+the read-only ``Leaf.intervals`` view and in the sort keys of cells finer
+than ``SORT_SCALE``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import heapq
 import itertools
 import math
+import operator
 from collections import deque
 from fractions import Fraction
 
@@ -42,10 +44,13 @@ class Leaf:
     ``[a/n, c/n)`` with ``n > 0`` and ``gcd(a, c, n) == 1``.  A leaf that
     splitting moves can reach has ``c == a + 1`` in every block.  The
     constructor takes ``(lo, hi)`` pairs of rationals; ``intervals`` is the
-    same data as ``Fraction`` pairs.
+    same data as ``Fraction`` pairs.  ``sort_key``, built once with the
+    leaf, is ``key()`` flattened with every interval end times
+    ``SORT_SCALE``: an ``int`` where ``n`` divides the scale, else the exact
+    ``Fraction``, so comparing two keys compares the leaves exactly.
     """
 
-    __slots__ = ("root", "grid", "_hash")
+    __slots__ = ("root", "grid", "_hash", "sort_key")
 
     def __init__(self, root: int, intervals):
         grid = []
@@ -57,13 +62,15 @@ class Leaf:
         self.root = root
         self.grid = tuple(grid)
         self._hash = hash((root, self.grid))
+        self.sort_key = _sort_key(root, self.grid)
 
     @property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple((Fraction(a, n), Fraction(c, n)) for a, c, n in self.grid)
 
     def key(self):
-        """Canonical sort key: root, then per block interval lo then hi."""
+        """Canonical order as ``Fraction``s: root, then per block interval
+        lo then hi.  The reference that ``sort_key`` is checked against."""
         return (self.root, self.intervals)
 
     def __hash__(self) -> int:
@@ -89,7 +96,25 @@ class Leaf:
         return f"Leaf(root={self.root} {ivs})"
 
 
+# Every leaf holds its key, so the scale is the least one that 32 splits by
+# each bundled arity (2 and 3, mixed freely within a block) divide: an end
+# then scales to an int of at most 83 bits, three 30-bit digits.  Deeper
+# cells and other arities fall to exact Fractions.
+SORT_SCALE = 2**32 * 3**32
 _new_leaf = object.__new__
+_by_sort_key = operator.attrgetter("sort_key")
+
+
+def _sort_key(root: int, grid: tuple) -> tuple:
+    """``Leaf.key`` flattened, with each interval end times SORT_SCALE."""
+    out = [root]
+    for a, c, n in grid:
+        f, r = divmod(SORT_SCALE, n)
+        if r:
+            out += (Fraction(a * SORT_SCALE, n), Fraction(c * SORT_SCALE, n))
+        else:
+            out += (a * f, c * f)
+    return tuple(out)
 
 
 def _on_grid(root: int, grid: tuple) -> Leaf:
@@ -98,6 +123,7 @@ def _on_grid(root: int, grid: tuple) -> Leaf:
     leaf.root = root
     leaf.grid = grid
     leaf._hash = hash((root, grid))
+    leaf.sort_key = _sort_key(root, grid)
     return leaf
 
 
@@ -107,35 +133,10 @@ def _coord(a: int, c: int, n: int) -> tuple[int, int, int]:
     return (a // g, c // g, n // g)
 
 
-def _order_key(cells):
-    """``Leaf.key`` on integers: each block's interval ends scaled to the
-    common denominator of ``cells`` in that block.  The key also orders
-    every coarser cell, whose denominators divide those of the cells."""
-    columns = zip(*(c.grid for c in cells))
-    return _scaled_key([math.lcm(*(n for _, _, n in col)) for col in columns])
-
-
-def _scaled_key(scales):
-    """``Leaf.key`` on integers for the leaves whose denominator in each
-    block divides that block's entry of ``scales``."""
-
-    def key(leaf: Leaf) -> tuple:
-        out = [leaf.root]
-        for (a, c, n), s in zip(leaf.grid, scales):
-            f = s // n
-            out.append(a * f)
-            out.append(c * f)
-        return tuple(out)
-
-    return key
-
-
 def canonical_order(cells) -> list[Leaf]:
-    """Leaves of one spec sorted by ``Leaf.key``, compared on integers."""
-    cells = list(cells)
-    if len(cells) < 2:
-        return cells
-    return sorted(cells, key=_order_key(cells))
+    """Leaves of one spec sorted by ``Leaf.key``: one sort on the keys the
+    leaves carry."""
+    return sorted(cells, key=_by_sort_key)
 
 
 def root_leaf(spec: AlgebraSpec, root: int) -> Leaf:
@@ -460,8 +461,8 @@ def boxes_intersect(a: Leaf, b: Leaf) -> bool:
 # ---------------------------------------------------------------------------
 
 class Basis:
-    """An admissible leaf set, stored in canonical order, with a split tree
-    per root.
+    """An admissible leaf set, stored in canonical order (one sort on the
+    leaves' ``sort_key``s), with a split tree per root.
 
     ``trees`` maps each root to a split tree that replays to the basis's
     cells on that root; the k-th leaf of the trees, root by root, is
@@ -688,8 +689,7 @@ def sibling_families(
                     group.sort(key=lambda x: x.grid[bi][0])
                     out.append((color, tuple(group), parent))
     # families of one colour are disjoint, so their first leaves order them
-    rank = {c: i for i, c in enumerate(canonical_order(fam[0] for _, fam, _ in out))}
-    out.sort(key=lambda t: (t[0], rank[t[1][0]]))
+    out.sort(key=lambda t: (t[0], t[1][0].sort_key))
     return out
 
 
@@ -784,9 +784,7 @@ def _search(start: Basis, moves, cap: int | None, what: str) -> list[Basis]:
 
 def _canonical_bases(bases) -> list[Basis]:
     """Bases sorted by size, then by their leaves' ``Leaf.key`` tuples."""
-    bases = list(bases)
-    rank = {c: i for i, c in enumerate(canonical_order({c for b in bases for c in b.cells}))}
-    return sorted(bases, key=lambda x: (len(x), tuple(rank[c] for c in x.cells)))
+    return sorted(bases, key=lambda x: (len(x), tuple(map(_by_sort_key, x.cells))))
 
 
 def glb(a: Basis, b: Basis) -> Basis:
@@ -957,9 +955,8 @@ def expansion_script(b: Basis) -> list[tuple[int, int]]:
     the roots, derived from the admissibility certificate: each step splits
     the canonically first cell whose certificate subtree still splits."""
     spec = b.spec
-    key = _order_key(b.cells)
     roots = [root_leaf(spec, r) for r in range(spec.roots)]
-    keys = [key(c) for c in roots]  # the current cells, sorted
+    keys = [c.sort_key for c in roots]  # the current cells, sorted
     trees = [b.certificate[r] for r in range(spec.roots)]
     pending = [x for x in zip(keys, roots, trees) if x[2][0] == "split"]  # cells still to split
     script: list[tuple[int, int]] = []
@@ -969,7 +966,7 @@ def expansion_script(b: Basis) -> list[tuple[int, int]]:
         script.append((idx, color))
         del keys[idx]
         for child, sub in zip(split_leaf(spec, cell, color), subtrees):
-            ck = key(child)
+            ck = child.sort_key
             bisect.insort(keys, ck)
             if sub[0] == "split":
                 heapq.heappush(pending, (ck, child, sub))
@@ -980,20 +977,11 @@ def replay_script(spec: AlgebraSpec, script) -> Basis:
     """The basis a (leaf index, colour) script reaches from the roots, each
     index counted in the canonical order of the cells at its step.
 
-    The current cells are kept sorted by ``Leaf.key`` on one integer grid
-    per block, the product of the arities the script splits that block by,
-    which every cell's denominator divides.  The splits are recorded and
-    the split trees read off them, so only the final basis is built."""
-    script = list(script)
-    scales = [1] * spec.num_blocks
-    for _, color in script:
-        if 0 <= color < spec.num_colors:
-            bi, n = spec.colors[color]
-            scales[bi] *= n
-    key = _scaled_key(scales)
+    The current cells are kept sorted by their ``sort_key``s.  The splits
+    are recorded and the split trees read off them, so only the final
+    basis is built."""
     roots = [root_leaf(spec, r) for r in range(spec.roots)]
-    keys = [key(c) for c in roots]  # the current cells, sorted
-    cells = list(roots)
+    cells = list(roots)  # the current cells, sorted
     splits: dict[Leaf, int] = {}  # each split cell and its colour
     for idx, color in script:
         if not 0 <= idx < len(cells):
@@ -1001,13 +989,9 @@ def replay_script(spec: AlgebraSpec, script) -> Basis:
         if not 0 <= color < spec.num_colors:
             raise TermError(f"invalid colour {color}")
         cell = cells.pop(idx)
-        del keys[idx]
         splits[cell] = color
         for child in split_leaf(spec, cell, color):
-            k = key(child)
-            i = bisect.bisect_left(keys, k)
-            keys.insert(i, k)
-            cells.insert(i, child)
+            bisect.insort(cells, child, key=_by_sort_key)
 
     def tree(cell: Leaf, out: list) -> tuple:
         if cell not in splits:

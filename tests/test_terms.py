@@ -33,6 +33,7 @@ from cantorv.terms import (
     max_elementary,
     parent_of_family,
     parse_basis_text,
+    parse_leaf,
     relative_exponents,
     replay_script,
     root_leaf,
@@ -41,7 +42,7 @@ from cantorv.terms import (
     transport,
     very_elementary_leq,
 )
-from cantorv.terms import _admissible_pattern, _split_assignment
+from cantorv.terms import SORT_SCALE, _admissible_pattern, _parent, _split_assignment
 
 from conftest import SPEC_SOURCES
 from oracles import (
@@ -1032,10 +1033,9 @@ def _brute_force_sibling_families(spec, cells, images=None):
                 if img_parent is None or split_leaf(spec, img_parent, color) != targets:
                     continue
             found[color, fam] = parent
-    rank = {c: i for i, c in enumerate(canonical_order(cellset))}
     return sorted(
         ((color, fam, parent) for (color, fam), parent in found.items()),
-        key=lambda t: (t[0], rank[t[1][0]]),
+        key=lambda t: (t[0], t[1][0].key()),
     )
 
 
@@ -1088,3 +1088,116 @@ def test_sibling_families_skip_parents_off_the_arity_monoid():
     images = dict(zip(sixteenths, split_ninth))
     assert sibling_families(spec46, sixteenths, images) == []
     assert _brute_force_sibling_families(spec46, sixteenths, images) == []
+
+
+# -- carried sort keys against Leaf.key ---------------------------------------
+
+def _descents(spec, rng, count, depth, colors=None, least=0):
+    """Every cell met on ``count`` random descents from the roots, each of
+    ``least`` to ``depth`` splits by colours drawn from ``colors`` (all by
+    default), with each split's siblings."""
+    colors = range(spec.num_colors) if colors is None else colors
+    out = set()
+    for _ in range(count):
+        cell = root_leaf(spec, rng.randrange(spec.roots))
+        out.add(cell)
+        for _ in range(rng.randint(least, depth)):
+            kids = split_leaf(spec, cell, rng.choice(colors))
+            out.update(kids)
+            cell = rng.choice(kids)
+    return list(out)
+
+
+def _assert_sorted_as_leaf_key(leaves, rng):
+    leaves = list(leaves)
+    rng.shuffle(leaves)
+    want = sorted(leaves, key=Leaf.key)
+    assert canonical_order(leaves) == want
+    assert [c.sort_key for c in want] == sorted(c.sort_key for c in leaves)
+    keys = [c.key() for c in want]
+    for i in range(len(want) - 1):
+        assert keys[i] < keys[i + 1] and want[i].sort_key < want[i + 1].sort_key
+
+
+def _past_the_scale(leaf) -> bool:
+    return any(SORT_SCALE % n for _, _, n in leaf.grid)
+
+
+def test_sort_keys_from_every_constructor_order_as_leaf_key():
+    spec = parse_spec("roots=2; block[2,3]; block[2]")
+    rng = random.Random(28)
+    made = [root_leaf(spec, r) for r in range(spec.roots)]
+    made += _descents(spec, rng, 12, 6) + _descents(spec, rng, 4, 70, colors=[1])
+    made += [p for c in list(made) for color in range(spec.num_colors)
+             if (p := _parent(spec, c, color)) is not None]
+    for _ in range(60):
+        # transport carries a cell into a target of another shape, on or off the grid
+        outer, target = rng.sample(made, 2)
+        inner = rng.choice(split_leaf(spec, outer, rng.randrange(spec.num_colors)))
+        made += [transport(outer, target, inner), transport(inner, target, outer)]
+    assert any(map(_past_the_scale, made)) and not all(map(_past_the_scale, made))
+    parsed = 0
+    for leaf in made:
+        assert Leaf(leaf.root, leaf.intervals).sort_key == leaf.sort_key
+        try:
+            check_leaf(spec, leaf)
+        except TermError:
+            continue  # off the grid: no leaf text parses to it
+        assert parse_leaf(spec, leaf_to_text(leaf)).sort_key == leaf.sort_key
+        parsed += 1
+    assert 0 < parsed < len(made)
+    distinct = list(set(made))
+    keys = {leaf: leaf.key() for leaf in distinct}
+    for x, y in itertools.combinations(distinct, 2):
+        assert (x.sort_key < y.sort_key) == (keys[x] < keys[y])
+        assert x.sort_key != y.sort_key
+    _assert_sorted_as_leaf_key(distinct, rng)
+
+
+def test_canonical_order_is_leaf_key_order_on_random_leaf_sets(specs):
+    rng = random.Random(28)
+    for spec in specs.values():
+        for _ in range(8):
+            _assert_sorted_as_leaf_key(_descents(spec, rng, 10, 8), rng)
+
+
+def test_canonical_order_mixes_shallow_leaves_with_leaves_past_the_scale(specs):
+    # v21 past 2^-90 and stein23 past 3^-54, where a scaled step of the
+    # deepest cells is below 1
+    rng = random.Random(29)
+    for name, colors, depth in [("v21", [0], 100), ("stein23", [1], 60), ("stein23", [0, 1], 90)]:
+        spec = specs[name]
+        for _ in range(4):
+            leaves = _descents(spec, rng, 6, 4) + _descents(spec, rng, 3, depth, colors, depth - 6)
+            assert any(map(_past_the_scale, leaves))
+            _assert_sorted_as_leaf_key(set(leaves), rng)
+
+
+@pytest.mark.parametrize("source", ["roots=1; block[11]", "roots=2; block[13,2]; block[2]"])
+def test_canonical_order_for_arities_the_scale_lacks(source):
+    spec = parse_spec(source)
+    rng = random.Random(source)
+    for _ in range(6):
+        leaves = _descents(spec, rng, 8, 30)
+        assert any(map(_past_the_scale, leaves))
+        _assert_sorted_as_leaf_key(set(leaves), rng)
+
+
+@pytest.mark.parametrize("name, colors, depth", [("v21", [0], 100), ("stein23", [0, 1], 80)])
+def test_scripts_round_trip_through_a_leaf_past_the_scale(specs, name, colors, depth):
+    spec = specs[name]
+    rng = random.Random(name)
+    basis, script = Basis.roots(spec), []
+    cell = basis.cells[0]
+    for _ in range(depth):
+        color = rng.choice(colors)
+        script.append((basis.index_of(cell), color))
+        basis = expand(basis, cell, color)
+        cell = rng.choice(split_leaf(spec, cell, color))
+    assert _past_the_scale(cell) and list(basis.cells) == sorted(basis.cells, key=Leaf.key)
+    replayed = replay_script(spec, script)
+    assert replayed.cells == basis.cells and replayed.trees == basis.trees
+    canonical = expansion_script(replayed)
+    again = replay_script(spec, canonical)
+    assert again.cells == basis.cells and expansion_script(again) == canonical
+    assert _expand_replay(spec, canonical).cells == basis.cells
