@@ -43,8 +43,7 @@ from .terms import (
 
 
 class BruteForceCapError(RuntimeError):
-    """A permutation problem is larger than its cap: |Y|! for the
-    normaliser, the orbit length for a letter centraliser."""
+    """The normaliser's candidate permutations outnumber its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +106,6 @@ def _conjugators(s, t):
                 free[j] = True
 
     return place(0)
-
-
-def _is_cyclic(perms) -> bool:
-    """Whether the group of these distinct permutations is cyclic: some
-    element's order, the lcm of its cycle lengths, is the group's.  The
-    action is faithful, so an element's order is its permutation's."""
-    return any(math.lcm(*map(len, _cycles(p))) == len(perms) for p in perms)
 
 
 def _generating_set(perms, first: int) -> list[int]:
@@ -355,37 +347,33 @@ def invariant_basis_report(q: FiniteSubgroup) -> InvariantBasisReport:
     return q._cache["report"]
 
 
+def _in_letter_centralizer(lab, tdata: TypeData) -> bool:
+    """Whether a letter map commutes with every permutation of the type's
+    image."""
+    return all(_perm_mul(lab, g) == _perm_mul(g, lab) for g in tdata.phi)
+
+
 def type_centralizer_L(
-    report: InvariantBasisReport, type_id: str, cap: int = 8
+    report: InvariantBasisReport, type_id: str
 ) -> tuple[tuple[int, ...], ...]:
     """All permutations of the orbit letters commuting with the type's
-    representation, sorted: the conjugators of one image element s to
-    itself, s of least centraliser in S_m, that commute with the whole
-    image; ``cap`` bounds the orbit length m.
+    representation, sorted.
 
-    Cross-validated against the quotient description
-    N_{P}(P_1)/P_1 for P the image and P_1 a point stabiliser, and against
-    P itself when the acting group is cyclic.  P is transitive and
-    s P_1 s^-1 = Stab(s(0)), a stabiliser of P_1's size, so s normalises
-    P_1 exactly when P_1 fixes s(0).
+    The image P is transitive; let P_1 be the stabiliser of letter 0.  A
+    commuting c is determined by f = c(0), as c(g(0)) = g(f) for g in P,
+    and P_1 fixes f, as h(f) = c(h(0)) = f for h in P_1.  Conversely each
+    f in Fix(P_1) gives one, c_f: g(0) -> g(f), well defined because
+    g(0) = h(0) puts g^-1 h in P_1, which fixes f (Dixon and Mortimer,
+    "Permutation Groups", Thm 4.2A).  The work is O(m |P|).
     """
     tdata = report.types[type_id]
-    m = tdata.m
-    if m > cap:
-        raise BruteForceCapError(f"orbit length {m} above brute-force cap {cap}")
     image = set(tdata.phi)
-    s = min(image, key=lambda p: _centralizer_order(_cycle_type(p)))
-    result = tuple(sorted(
-        pi for pi in _conjugators(s, s) if all(_conjugate(pi, g) == g for g in image)
-    ))
-    stab1 = [t for t in image if t[0] == 0]
-    fixed = {k for k in range(m) if all(t[k] == k for t in stab1)}
-    normal = [t for t in image if t[0] in fixed]
-    if len(result) * len(stab1) != len(normal):
-        raise TermError("centraliser size disagrees with quotient description")
-    if _is_cyclic(report.perms) and set(result) != image:
-        raise TermError("cyclic image must be its own letter centraliser")
-    return result
+    fixed = [f for f in range(tdata.m) if all(g[f] == f for g in image if g[0] == 0)]
+    out = []
+    for f in fixed:
+        c_f = {g[0]: g[f] for g in image}
+        out.append(tuple(c_f[k] for k in range(tdata.m)))
+    return tuple(sorted(out))
 
 
 @dataclass
@@ -421,14 +409,14 @@ class CentralizerStructure:
         return out
 
 
-def centralizer_structure(q: FiniteSubgroup, cap: int = 8) -> CentralizerStructure:
+def centralizer_structure(q: FiniteSubgroup) -> CentralizerStructure:
     report = invariant_basis_report(q)
     factors = [
         TypeFactor(
             type_id=tid,
             m=tdata.m,
             r=tdata.r,
-            L=type_centralizer_L(report, tid, cap=cap),
+            L=type_centralizer_L(report, tid),
         )
         for tid, tdata in report.types.items()
     ]
@@ -526,14 +514,21 @@ def build_kernel_element(
     tdata = report.types[type_id]
     if k.qspec.roots != tdata.r or k.qspec.blocks != spec.blocks:
         raise TermError("kernel element is over the wrong quotient")
-    if any(len(lab) != tdata.m for lab in k.labels.values()):
-        raise TermError("label degree does not match the orbit length")
+    for lab in k.labels.values():
+        if len(lab) != tdata.m:
+            raise TermError("label degree does not match the orbit length")
+        if not _in_letter_centralizer(lab, tdata):
+            raise TermError(f"label {lab} is not in the letter centraliser of type {type_id}")
     return _diagonal(report, {type_id: [(a, a, k.labels[a]) for a in k.basis.cells]})
 
 
 def encode_kernel_element(k: KernelElement, letters) -> ConeTuple:
     """The covering cone tuple indexed by a fixed order on the labels:
-    slot s is the cone of leaves labelled s."""
+    slot s is the cone of leaves labelled s, so every label must be one of
+    the letters."""
+    for lab in k.labels.values():
+        if lab not in letters:
+            raise TermError(f"label {lab} is not among the letters")
     cones = []
     for s in letters:
         cells = [a for a in k.basis.cells if k.labels[a] == s]
@@ -580,26 +575,24 @@ class NormalizerReport:
 
 def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport:
     """Normaliser, centraliser and Weyl group of Q inside S(Y), the setwise
-    stabiliser of the minimal invariant basis Y; ``cap`` bounds |Y|!.
+    stabiliser of the minimal invariant basis Y; ``cap`` bounds the number
+    of candidates tested.
 
     A normalising pi conjugates an image element s to an image element t
     of s's cycle type, so the candidates are the conjugators of s to each
     such t, for the s that makes them fewest: |C_{S_n}(s)| per t.  They
-    are distinct, so never more than |Y|!.  A candidate normalises when it
-    conjugates a generating set of the image that includes s into the
-    image: it then conjugates the whole image into it, and conjugation is
-    injective.  It centralises when it fixes each of those generators.
-    The coset representatives are the least element of each coset of C
-    in N.
+    are distinct, so never more than |Y|!, the size of a scan.  A
+    candidate normalises when it conjugates a generating set of the image
+    that includes s into the image: it then conjugates the whole image
+    into it, and conjugation is injective.  It centralises when it fixes
+    each of those generators.  The coset representatives are the least
+    element of each coset of C in N.
 
     The Weyl group of Q in V can be larger: expanding a whole orbit
     changes the orbit-type counts, so V may realise an automorphism of Q
     that swaps types whose counts differ in Y."""
     report = invariant_basis_report(q)
     y = report.basis
-    n = len(y)
-    if math.factorial(n) > cap:
-        raise BruteForceCapError(f"|S(Y)| = {n}! exceeds cap {cap}")
     perms = report.perms
     image = set(perms)
     by_type: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -607,6 +600,9 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
         by_type.setdefault(_cycle_type(p), []).append(p)
     candidates = {ct: _centralizer_order(ct) * len(ps) for ct, ps in by_type.items()}
     si = min(range(len(perms)), key=lambda gi: candidates[_cycle_type(perms[gi])])
+    fewest = min(candidates.values())
+    if fewest > cap:
+        raise BruteForceCapError(f"{fewest} normaliser candidates exceed cap {cap}")
     gens = [perms[gi] for gi in _generating_set(perms, si)]
     normal: list[tuple[int, ...]] = []
     central: list[tuple[int, ...]] = []
@@ -627,7 +623,7 @@ def normalizer_analysis(q: FiniteSubgroup, cap: int = 40320) -> NormalizerReport
         covered |= {_perm_mul(p, c) for c in central}
     return NormalizerReport(
         basis=y,
-        sy_order=math.factorial(n),
+        sy_order=math.factorial(len(y)),
         normalizer_order=len(normal),
         centralizer_order=len(central),
         weyl_order=len(normal) // len(central),
@@ -671,7 +667,7 @@ def decompose_fixing_element(report: InvariantBasisReport, x: Element):
         ]
         root_perm = tuple(t[0][0] for t in targets)
         labels = tuple(tuple(k for _, k in t) for t in targets)
-        if any(_perm_mul(lab, g) != _perm_mul(g, lab) for lab in labels for g in tdata.phi):
+        if not all(_in_letter_centralizer(lab, tdata) for lab in labels):
             return None
         out[tid] = (labels, root_perm)
         roots = Basis.roots(quotient_spec(y.spec, tdata.r)).cells

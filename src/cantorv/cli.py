@@ -312,14 +312,15 @@ def _type_report(args):
     orbit type ``args.type``."""
     q = _load_group(_load_spec(args.spec), args.group)
     report = centralizer.invariant_basis_report(q)
-    tdata = report.types[args.type]
-    return report, centralizer.quotient_spec(q.spec, tdata.r)
+    if args.type not in report.types:
+        raise TermError(f"no orbit type {args.type!r}; the group has {', '.join(report.types)}")
+    return report, centralizer.quotient_spec(q.spec, report.types[args.type].r)
 
 
 def _cmd_centralizer_analyze(args) -> int:
     spec = _load_spec(args.spec)
     q = _load_group(spec, args.group)
-    structure = centralizer.centralizer_structure(q, cap=args.cap)
+    structure = centralizer.centralizer_structure(q)
     for line in structure.lines():
         print(line)
     return 0
@@ -363,7 +364,7 @@ def _cmd_centralizer_lift(args) -> int:
 def _cmd_centralizer_encode(args) -> int:
     report, qspec = _type_report(args)
     kern = _parse_kernel(qspec, _read(args.kernel))
-    letters = centralizer.type_centralizer_L(report, args.type, cap=args.cap)
+    letters = centralizer.type_centralizer_L(report, args.type)
     tup = centralizer.encode_kernel_element(kern, letters)
     _emit(args.out, "--\n".join(cones.cone_to_text(c) for c in tup.cones))
     return 0
@@ -563,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(cz_p, "analyze", _cmd_centralizer_analyze)
     p.add_argument("--spec", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=int, default=8)
     p = add(cz_p, "build-kernel", _cmd_centralizer_build_kernel)
     p.add_argument("--spec", required=True)
     p.add_argument("--group", required=True)
@@ -581,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--type", required=True)
     p.add_argument("--kernel", required=True)
-    p.add_argument("--cap", type=int, default=8)
     p.add_argument("--out", default="")
 
     nz_p = sub.add_parser("normalizer").add_subparsers(dest="cmd", required=True)

@@ -211,24 +211,54 @@ def test_L_for_three_cycle(v31):
     assert set(L) == image
 
 
-def test_L_for_symmetric_group(v21):
+def _s3_group(v21):
+    """S_3 on three v21 leaves: one orbit type, of three letters."""
     h = _halves(v21)
     b3 = expand(h, h.cells[0], 0)
-    q = close_subgroup(
-        [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
-        24,
+    return close_subgroup(
+        [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])], 24
     )
-    rep = orbit_types(b3, q)
-    (tid,) = [o.type_id for o in rep.orbits]
+
+
+def test_L_for_symmetric_group(v21):
+    rep = invariant_basis_report(_s3_group(v21))
+    (tid,) = rep.types
     L = type_centralizer_L(rep, tid)
-    assert len(L) == 1  # symmetric groups of degree >= 3 are centreless
+    assert L == ((0, 1, 2),)  # symmetric groups of degree >= 3 are centreless
 
 
-def test_L_cap(v21):
-    q = _sigma_group(v21)
-    rep = orbit_types(invariant_basis(q), q)
-    with pytest.raises(BruteForceCapError):
-        type_centralizer_L(rep, "regular", cap=1)
+def test_L_of_a_cyclic_group_is_its_image(v21, v31):
+    # a transitive abelian group is its own centraliser in S_m, so every
+    # orbit type of a cyclic group has L equal to its image
+    h = _halves(v21)
+    b3 = expand(h, h.cells[0], 0)
+    b5 = expand(expand(b3, b3.cells[0], 0), b3.cells[2], 0)
+    # order 6 from a transposition and a disjoint 3-cycle: two orbit types
+    c6 = close_subgroup(
+        [permutation_element(b5, [1, 0, 2, 3, 4]), permutation_element(b5, [0, 1, 3, 4, 2])],
+        8,
+    )
+    assert len(c6) == 6
+    groups = [_sigma_group(v21), _three_cycle_group(v31), c6, _nine_cycle_group(v31)]
+    for q in groups:
+        report = invariant_basis_report(q)
+        for tid, tdata in report.types.items():
+            assert type_centralizer_L(report, tid) == tuple(sorted(set(tdata.phi)))
+    assert [t.m for t in invariant_basis_report(c6).types.values()] == [2, 3]
+
+
+def test_labels_outside_the_letter_centralizer_are_refused(v21):
+    # (1, 0, 2) is a permutation, but L of S_3 holds only the identity
+    report = invariant_basis_report(_s3_group(v21))
+    (tid,) = report.types
+    qs = quotient_spec(v21, 1)
+    roots = Basis.roots(qs)
+    k = KernelElement(qs, roots, {c: (1, 0, 2) for c in roots.cells})
+    refused = rf"^label \(1, 0, 2\) is not in the letter centraliser of type {tid}$"
+    with pytest.raises(TermError, match=refused):
+        build_kernel_element(report, tid, k)
+    with pytest.raises(TermError, match=r"^label \(1, 0, 2\) is not among the letters$"):
+        encode_kernel_element(k, type_centralizer_L(report, tid))
 
 
 # -- structure reports --------------------------------------------------------
@@ -495,31 +525,6 @@ def test_orbit_type_transport(v31):
         assert conj_perms == image
 
 
-def _is_cyclic(q):
-    return Z._is_cyclic(orbit_types(invariant_basis(q), q).perms)
-
-
-def test_group_data_cyclic_detection(v21, v31):
-    assert _is_cyclic(_sigma_group(v21))
-    assert _is_cyclic(_three_cycle_group(v31))
-    h = _halves(v21)
-    b3 = expand(h, h.cells[0], 0)
-    s3 = close_subgroup(
-        [permutation_element(b3, [1, 0, 2]), permutation_element(b3, [1, 2, 0])],
-        24,
-    )
-    assert not _is_cyclic(s3)
-    # cyclic of order 6 from a transposition and a disjoint 3-cycle, neither
-    # of order 6
-    b5 = expand(expand(b3, b3.cells[0], 0), b3.cells[2], 0)
-    c6 = close_subgroup(
-        [permutation_element(b5, [1, 0, 2, 3, 4]), permutation_element(b5, [0, 1, 3, 4, 2])],
-        8,
-    )
-    assert len(c6) == 6 and _is_cyclic(c6)
-    assert not _is_cyclic(_klein_group(v21)[0])
-
-
 def _conjugated_group(source, size, seed):
     """A permutation of a basis with ``size`` leaves, conjugated by a random
     element, as the symmetry benchmark builds its subgroups."""
@@ -637,16 +642,6 @@ def test_group_law_needs_no_multiplication_table(v21, monkeypatch):
     centralizer_structure(q)
     normalizer_analysis(q)
     assert 0 < calls <= 10 * len(q)
-
-
-def test_quotient_cross_check_fires(v31, monkeypatch):
-    # with only the identity as a conjugator, |L| = 1 while
-    # |N_P(P_1)| / |P_1| = 3 for the regular type of the three-cycle
-    q = _three_cycle_group(v31)
-    rep = orbit_types(invariant_basis(q), q)
-    monkeypatch.setattr(Z, "_conjugators", lambda s, t: iter([tuple(range(len(s)))]))
-    with pytest.raises(TermError, match="^centraliser size disagrees with quotient description$"):
-        type_centralizer_L(rep, "regular")
 
 
 def test_generators_decide_invariance(v21, v31):
@@ -790,8 +785,11 @@ def test_normalizer_and_letter_centralizers_match_scans(v21, v31, benchmark_subg
     assert len(randoms) >= 20
     assert max(len(invariant_basis_report(q).basis) for q in randoms) == 8
     assert len(psl27) == 168
-    for q in groups + randoms + [psl27]:
+    groups += randoms + [psl27, _nine_cycle_group(v31)]
+    for q in groups:
         assert normalizer_analysis(q).lines() == scan_normalizer(q).lines()
+    # letter centralisers on every benchmark subgroup: its orbits are short
+    for q in groups + [q for q, _ in benchmark_subgroups]:
         report = invariant_basis_report(q)
         for tid in report.types:
             assert type_centralizer_L(report, tid) == scan_letter_centralizer(report, tid)
@@ -879,17 +877,16 @@ def test_report_asks_represent_on_only_for_generators_on_new_bases(
     assert len(calls) == 6
 
 
-def test_caps_keep_their_meaning(psl27):
-    # the normaliser's cap bounds |Y|!, the letter centraliser's the orbit
-    # length m, not the number of candidates either one tests
-    with pytest.raises(BruteForceCapError, match=r"^\|S\(Y\)\| = 8! exceeds cap 40319$"):
-        normalizer_analysis(psl27, cap=40319)
-    assert normalizer_analysis(psl27, cap=40320).normalizer_order == 336
-    report = invariant_basis_report(psl27)
-    (tid,) = report.types
-    with pytest.raises(BruteForceCapError, match="^orbit length 8 above brute-force cap 7$"):
-        type_centralizer_L(report, tid, cap=7)
-    assert type_centralizer_L(report, tid, cap=8) == (tuple(range(8)),)
+def test_normalizer_cap_counts_candidates(psl27, v31):
+    # the cap bounds the candidates tested, not |Y|!: PSL(2,7) has 336, one
+    # conjugator of a 7-cycle to each of the 48 7-cycles per element of its
+    # cyclic centraliser; the nine-cycle group on |Y| = 9 has 54
+    with pytest.raises(BruteForceCapError, match="^336 normaliser candidates exceed cap 335$"):
+        normalizer_analysis(psl27, cap=335)
+    assert normalizer_analysis(psl27, cap=336).normalizer_order == 336
+    rep = normalizer_analysis(_nine_cycle_group(v31))
+    assert (rep.sy_order, rep.normalizer_order, rep.centralizer_order) == (362880, 54, 9)
+    assert rep.weyl_order == 6
 
 
 def test_conjugators_are_the_conjugating_permutations():
@@ -974,7 +971,7 @@ def test_decompose_handles_root_swaps():
 
 def _nine_cycle_group(v31):
     """A 9-cycle on the nine leaves of the balanced v31 basis: one regular
-    orbit, above ``type_centralizer_L``'s default cap of 8 letters."""
+    orbit of nine letters, and |Y|! = 9! above the normaliser's cap."""
     x = Basis.roots(v31)
     b = expand(x, x.cells[0], 0)
     for cell in b.cells:
@@ -1000,10 +997,8 @@ def _diagonal_cases(v21, v31, benchmark_subgroups, psl27):
 
 
 def _seeded_labels(report, tid, cells, rng):
-    """A seeded letter-centraliser label per cell, or the identity label
-    where the orbit is longer than ``type_centralizer_L``'s cap."""
-    m = report.types[tid].m
-    L = type_centralizer_L(report, tid) if m <= 8 else [tuple(range(m))]
+    """A seeded letter-centraliser label per cell."""
+    L = type_centralizer_L(report, tid)
     return {c: rng.choice(L) for c in cells}
 
 

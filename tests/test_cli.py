@@ -21,7 +21,7 @@ from cantorv.elements import (
 )
 from cantorv.terms import Basis, basis_to_text, expand, parse_basis_text
 from oracles import scan_normalizer
-from test_centralizer import psl27_generators
+from test_centralizer import _nine_cycle_group, _s3_group, psl27_generators
 from test_elements import FOUR_LEAF_CONJUGATE, _x0
 from test_terms import _balanced
 
@@ -365,9 +365,36 @@ def test_normalizer_cli_on_eight_leaves_matches_the_scan(tmp_path, spec_file, v2
     assert out.splitlines() == scan_normalizer(close_subgroup(gens, 200)).lines()
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code, out = _capture([*argv, "--cap", "40319"])
+        code, out = _capture([*argv, "--cap", "335"])
     assert (code, out) == (1, "")
-    assert err.getvalue() == "error: |S(Y)| = 8! exceeds cap 40319\n"
+    assert err.getvalue() == "error: 336 normaliser candidates exceed cap 335\n"
+
+
+def test_nine_letter_orbits_need_no_cap(tmp_path, data_dir, v31):
+    # one regular orbit of nine letters, |L| = 9 and |Y|! = 9!: all three
+    # commands answer at their defaults
+    spec = str(data_dir / "v31.alg")
+    q = _nine_cycle_group(v31)
+    grp = tmp_path / "q9.grp"
+    grp.write_text(group_to_text(q))
+    code, out = _capture(["centralizer", "analyze", "--spec", spec, "--group", str(grp)])
+    assert code == 0
+    assert out.splitlines()[1] == "type=regular m=9 r=1 |L|=9 L=" + " ".join(
+        ",".join(str((k + s) % 9) for k in range(9)) for s in range(9)
+    )
+    kern = tmp_path / "k.kern"
+    kern.write_text("root:0 [0/1,1/1) -> 1,2,3,4,5,6,7,8,0\n")
+    code, out = _capture(
+        ["centralizer", "encode", "--spec", spec, "--group", str(grp),
+         "--type", "regular", "--kernel", str(kern)]
+    )
+    assert code == 0
+    assert out.split("--\n") == ["EMPTY\n", "root:0 [0/1,1/1)\n"] + ["EMPTY\n"] * 7
+    code, out = _capture(["normalizer", "analyze", "--spec", spec, "--group", str(grp)])
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "|Y|=9 |S(Y)|=362880", "|N_S(Y)(Q)|=54 |C_S(Y)(Q)|=9", "weyl=6"
+    ]
 
 
 def test_stein_cli(spec_file):
@@ -470,26 +497,55 @@ def test_malformed_kernel_lines_are_domain_errors(tmp_path, spec_file, v21, text
 
 def test_kernel_labels_that_are_not_permutations_are_named(tmp_path, spec_file, v21):
     for argv in _kernel_commands(tmp_path, spec_file, v21, "root:0 [0/1,1/1) -> 0,0\n"):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert run(argv) == 1
-        assert err.getvalue() == "error: label (0, 0) is not a permutation\n"
+        assert _stderr_of(argv) == (1, "error: label (0, 0) is not a permutation\n")
 
 
-def _kernel_commands(tmp_path, spec_file, v21, text):
+def _kernel_commands(tmp_path, spec_file, v21, text, q=None, type_id="regular"):
     """``centralizer build-kernel`` and ``encode`` on the kernel ``text``,
-    for the swap of the halves."""
-    x = Basis.roots(v21)
-    sigma = permutation_element(expand(x, x.cells[0], 0), [1, 0])
+    for the group ``q``, by default the swap of the halves."""
+    if q is None:
+        x = Basis.roots(v21)
+        q = close_subgroup([permutation_element(expand(x, x.cells[0], 0), [1, 0])], 8)
     grp = tmp_path / "q.grp"
-    grp.write_text(group_to_text(close_subgroup([sigma], 8)))
+    grp.write_text(group_to_text(q))
     kern = tmp_path / "bad.kern"
     kern.write_text(text)
     return [
         ["centralizer", cmd, "--spec", spec_file, "--group", str(grp),
-         "--type", "regular", "--kernel", str(kern)]
+         "--type", type_id, "--kernel", str(kern)]
         for cmd in ("build-kernel", "encode")
     ]
+
+
+def _stderr_of(argv):
+    """The exit code and standard error of one run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def test_kernel_labels_outside_the_letter_centralizer_are_refused(tmp_path, spec_file, v21):
+    # S_3 on three leaves: (1, 0, 2) is a permutation, but L holds only the
+    # identity; neither command may print an element or a tuple for it
+    build, encode = _kernel_commands(
+        tmp_path, spec_file, v21, "root:0 [0/1,1/1) -> 1,0,2\n", _s3_group(v21), "type0"
+    )
+    assert _stderr_of(build) == (
+        1, "error: label (1, 0, 2) is not in the letter centraliser of type type0\n"
+    )
+    assert _stderr_of(encode) == (1, "error: label (1, 0, 2) is not among the letters\n")
+
+
+@pytest.mark.parametrize("cmd", ["build-kernel", "lift", "encode"])
+def test_unknown_type_is_named(tmp_path, spec_file, v21, cmd):
+    argv = _kernel_commands(tmp_path, spec_file, v21, "", type_id="nosuch")[0]
+    argv[1] = cmd
+    if cmd == "lift":
+        elem = tmp_path / "v.elem"
+        elem.write_text(element_to_text(random_element(v21, 4, 2)))
+        argv[-2:] = ["--elem", str(elem)]
+    assert _stderr_of(argv) == (1, "error: no orbit type 'nosuch'; the group has regular\n")
 
 
 # -- leaf indices and integers on the command line ---------------------------

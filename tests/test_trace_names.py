@@ -44,6 +44,7 @@ EXPECTED_SPANS = [
     "centralizer.minimize_invariant_basis",
     "centralizer.orbit_types",
     "centralizer.centralizer_structure",
+    "centralizer.type_centralizer_L",
     "centralizer.normalizer_analysis",
     "centralizer.build_kernel_element",
     "centralizer.splitting_lift",
