@@ -19,8 +19,9 @@ from .cones import Cone, ConeTuple
 from .elements import (
     Element,
     FiniteSubgroup,
+    _carry,
     _from_mapping,
-    _image,
+    _labelled,
     _perm_mul,
     equals,
     represent_on,
@@ -31,6 +32,7 @@ from .terms import (
     TermError,
     _canonical_bases,
     _certificate,
+    _require_same_spec,
     expand,
     find_ancestor,
     lub,
@@ -472,11 +474,11 @@ def kernel_equals(a: KernelElement, b: KernelElement) -> bool:
 
 
 def kernel_action(v: Element, k: KernelElement) -> KernelElement:
-    """The quotient group acts by carrying labels along the diagram."""
-    mid = lub(v.domain, k.basis)
-    image, to_image = _image(v, mid)
-    labels = {to_image[cell]: k.labels[find_ancestor(k.basis, cell)] for cell in mid.cells}
-    return KernelElement(k.qspec, image, labels)
+    """The quotient group acts by carrying labels along the diagram: k's
+    trees, each leaf labelled by its letter map, carried by v."""
+    _require_same_spec(v.domain, k.basis)
+    trees, cells, labels = _carry(v, _labelled(k.basis, k.labels.__getitem__))
+    return KernelElement(k.qspec, Basis(k.qspec, cells, trees=trees), dict(zip(cells, labels)))
 
 
 def _diagonal(report: InvariantBasisReport, moves) -> Element:

@@ -623,7 +623,8 @@ DOMAIN_ERRORS = (
     elements.IterationCapExceededError,
     centralizer.BruteForceCapError,
     stein.ComplexError,
-    FileNotFoundError,
+    OSError,
+    UnicodeDecodeError,
     KeyError,
 )
 

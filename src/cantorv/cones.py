@@ -27,14 +27,13 @@ from .terms import (
     check_leaf,
     leaf_contains,
     leaf_to_text,
-    lub,
     parse_leaf,
     relative_exponents,
     root_leaf,
     sibling_families,
     split_leaf,
 )
-from .elements import Element, _cell_images, _from_mapping
+from .elements import Element, _carry, _from_mapping, _labelled
 
 
 class ConeError(ValueError):
@@ -258,21 +257,17 @@ def _grid_basis(spec: AlgebraSpec, cells) -> Basis:
 
 
 def act(g: Element, u: Cone) -> Cone:
-    """The image cone; supports map leafwise through the diagram, onto
-    disjoint cells of one basis, which are contracted unchecked."""
+    """The image cone: each leaf of u's witness basis is labelled by
+    whether it lies in u, and the labelled trees are carried by g.  The
+    image cells labelled True are disjoint cells of one basis, so they are
+    contracted unchecked."""
     if g.spec != u.spec:
         raise ConeError("element and cone belong to different specs")
     if u.is_empty():
         return u
-    basis, assignment = witness_basis(u.spec, [u])
-    mid = lub(basis, g.domain)
-    to_image = _cell_images(g, mid)
-    images = [
-        to_image[cell]
-        for cell in mid.cells
-        if any(leaf_contains(s, cell) for s in u.cells)
-    ]
-    return Cone(u.spec, _contract_support(u.spec, images))
+    basis, (inside,) = witness_basis(u.spec, [u])
+    _, cells, labels = _carry(g, _labelled(basis, set(inside).__contains__))
+    return Cone(u.spec, _contract_support(u.spec, itertools.compress(cells, labels)))
 
 
 # ---------------------------------------------------------------------------

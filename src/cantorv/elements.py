@@ -95,8 +95,8 @@ class Element:
     def image_of_leaf(self, leaf: Leaf) -> Leaf:
         """Image of any cell lying under the domain basis.
 
-        This is the per-leaf query; library code maps a whole refinement of
-        the domain at once with ``_image`` (or ``_cell_images``).
+        This is the per-leaf query; library code carries labelled split
+        trees through the whole diagram at once with ``_carry``.
         """
         anc = find_ancestor(self.domain, leaf)
         if anc is None or relative_exponents(self.spec, anc, leaf) is None:
@@ -130,37 +130,12 @@ def _same_spec(g: Element, h: Element) -> None:
         raise TermError("elements belong to different specs")
 
 
-def _cell_images(g: Element, b: Basis) -> dict[Leaf, Leaf]:
-    """Each b-cell's image under g for b >= g.domain: b's trees clipped
-    along g.domain's, each part replayed below its domain leaf and below
-    that leaf's image.  Pushes in the clip split cells of b, so more cells
-    than b has mean that b does not refine g.domain: TermError."""
-    spec = g.spec
-    clipped: list[tuple] = []
-    for r in range(spec.roots):
-        _clip(spec, g.domain.trees[r], b.trees[r], clipped)
-    cells: dict[Leaf, Leaf] = {}
-    for sub, i in zip(clipped, g.domain.leaf_order):
-        leaf, target = g.domain.cells[i], g.range.cells[g.perm[i]]
-        if sub[0] == "leaf":
-            cells[leaf] = target
-            continue
-        before, after = [], []
-        _tree_cells(spec, leaf, sub, before)
-        _tree_cells(spec, target, sub, after)
-        cells.update(zip(before, after))
-    if len(cells) != len(b):
-        raise TermError("basis does not refine the element's domain")
-    return cells
-
-
-def _carry(g: Element, trees: list, size: int) -> tuple[Basis, list]:
-    """The image under g of labelled ``trees`` (one per root) of ``size``
-    leaves, with the label at each image leaf position: the trees clipped
-    along g.domain's, each part grafted onto its domain leaf's image in
-    g.range's trees.  A clip that splits a leaf gives more leaves than
-    ``size``: then the trees do not refine g.domain, and this raises
-    TermError."""
+def _carry(g: Element, trees) -> tuple[dict, list, list]:
+    """The image under g of labelled ``trees``, one per root: the trees
+    clipped along g.domain's, each part grafted onto its domain leaf's
+    image in g.range's trees.  Returns the image trees, with their cells
+    and the label at each in leaf order.  Where the clip splits a leaf,
+    every piece keeps its label."""
     spec = g.spec
     clipped: list[tuple] = []
     for r in range(spec.roots):
@@ -173,22 +148,32 @@ def _carry(g: Element, trees: list, size: int) -> tuple[Basis, list]:
     for r in range(spec.roots):
         image_trees[r] = _graft(g.range.trees[r], subs)
         _tree_cells(spec, root_leaf(spec, r), image_trees[r], cells, labels)
-    if len(cells) != size:
+    return image_trees, cells, labels
+
+
+def _labelled(b: Basis, label) -> list:
+    """b's trees, one per root, with each leaf labelled by ``label`` of
+    its cell."""
+    leaves = (("leaf", label(b.cells[i])) for i in b.leaf_order)
+    return [_graft(b.trees[r], leaves) for r in range(b.spec.roots)]
+
+
+def _image(g: Element, b: Basis) -> tuple[dict, dict[Leaf, Leaf]]:
+    """The trees of g(b) for b >= g.domain, with each b-cell's image in
+    their leaf order: b's trees, each leaf labelled by its own cell,
+    carried by g.  A b-cell the clip splits has several images, so more
+    images than b has cells mean that b does not refine g.domain:
+    TermError."""
+    trees, cells, labels = _carry(g, _labelled(b, lambda cell: cell))
+    if len(cells) != len(b):
         raise TermError("basis does not refine the element's domain")
-    return Basis(spec, cells, trees=image_trees), labels
-
-
-def _image(g: Element, b: Basis) -> tuple[Basis, dict[Leaf, Leaf]]:
-    """The image basis g(b) for b >= g.domain, with each b-cell's image:
-    b's trees, each leaf labelled by its canonical index, carried by g."""
-    leaves = (("leaf", i) for i in b.leaf_order)
-    image, labels = _carry(g, [_graft(b.trees[r], leaves) for r in range(g.spec.roots)], len(b))
-    return image, {b.cells[i]: image.cells[j] for i, j in zip(labels, image.leaf_order)}
+    return trees, dict(zip(labels, cells))
 
 
 def expand_diagram(g: Element, refined_domain: Basis) -> Element:
     """Rewrite g on a finer domain basis (refined_domain >= g.domain)."""
-    image, to_image = _image(g, refined_domain)
+    trees, to_image = _image(g, refined_domain)
+    image = Basis(g.spec, to_image.values(), trees=trees)
     perm = [image.index_of(to_image[c]) for c in refined_domain.cells]
     return Element(g.spec, refined_domain, image, perm)
 
@@ -203,12 +188,13 @@ def compose(g: Element, h: Element) -> Element:
     leaves = (("leaf", k) for k in numbers)
     mid = [_graft(_merge(spec, h.range.trees[r], g.domain.trees[r]), leaves)
            for r in range(spec.roots)]
-    size = next(numbers)  # the number of labels handed out
-    dom, dom_labels = _carry(invert(h), mid, size)
-    rng, rng_labels = _carry(g, mid, size)
+    dom_trees, dom_cells, dom_labels = _carry(invert(h), mid)
+    rng_trees, rng_cells, rng_labels = _carry(g, mid)
+    dom = Basis(spec, dom_cells, trees=dom_trees)
+    rng = Basis(spec, rng_cells, trees=rng_trees)
     at = dict(zip(rng_labels, rng.leaf_order))
     label = dict(zip(dom.leaf_order, dom_labels))
-    return reduce(Element(spec, dom, rng, [at[label[i]] for i in range(size)]))
+    return reduce(Element(spec, dom, rng, [at[label[i]] for i in range(len(dom))]))
 
 
 def equals(g: Element, h: Element) -> bool:
@@ -217,7 +203,7 @@ def equals(g: Element, h: Element) -> bool:
     if g.key() == h.key():
         return True
     common = lub(g.domain, h.domain)
-    return _cell_images(g, common) == _cell_images(h, common)
+    return _image(g, common)[1] == _image(h, common)[1]
 
 
 def reduce(g: Element) -> Element:
@@ -289,7 +275,8 @@ def permutation_element(b: Basis, perm) -> Element:
 def apply_to_basis(g: Element, b: Basis) -> Basis:
     """The image basis g(b); requires b to refine g's domain."""
     _require_same_spec(g.domain, b)
-    return _image(g, b)[0]
+    trees, to_image = _image(g, b)
+    return Basis(g.spec, to_image.values(), trees=trees)
 
 
 def represent_on(g: Element, y: Basis):
@@ -305,7 +292,7 @@ def represent_on(g: Element, y: Basis):
         raise TermError("element and basis belong to different specs")
     mid = lub(g.domain, y)
     spec = g.spec
-    images = _cell_images(g, mid)
+    images = _image(g, mid)[1]
     under: dict[Leaf, list[Leaf]] = {cell: [] for cell in y.cells}
     for c in mid.cells:
         under[find_ancestor(y, c)].append(c)

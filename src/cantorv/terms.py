@@ -645,6 +645,8 @@ def contract(b: Basis, family, color: int) -> Basis:
         raise TermError("repeated leaf in family")
     if not fam <= b.cellset():
         raise TermError("family not contained in basis")
+    if not 0 <= color < b.spec.num_colors:
+        raise TermError(f"invalid colour {color}")
     parent = parent_of_family(b.spec, fam, color)
     if parent is None:
         raise TermError("not a complete sibling family for this colour")

@@ -352,6 +352,13 @@ def test_kernel_action_matches_leafwise_reference(specs):
             assert got.basis == ref.basis and got.labels == ref.labels
 
 
+def test_kernel_action_refuses_an_element_over_another_spec(v21, v31):
+    a = Basis.roots(v21)
+    k = KernelElement(v21, a, {a.cells[0]: (1, 0)})
+    with pytest.raises(TermError, match="^bases belong to different specs$"):
+        kernel_action(random_element(v31, 5, 0), k)
+
+
 def test_kernel_diagonal_expansion_is_equal(v21):
     q, rep, L, qs = _regular_setup(v21)
     a = Basis.roots(qs)

@@ -2,6 +2,7 @@ import io
 import contextlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -444,6 +445,22 @@ def test_missing_file_is_domain_error(spec_file):
     assert code == 1
 
 
+def test_directory_as_input_is_domain_error(tmp_path):
+    _assert_domain_error(["spec", "check", str(tmp_path)])
+
+
+def test_directory_as_output_is_domain_error(tmp_path, spec_file):
+    _assert_domain_error(
+        ["basis", "enumerate", "--spec", spec_file, "--max-size", "3", "--out", str(tmp_path)]
+    )
+
+
+def test_undecodable_spec_file_is_domain_error(tmp_path):
+    bad = tmp_path / "random.alg"
+    bad.write_bytes(random.Random(0).randbytes(256))
+    _assert_domain_error(["spec", "check", str(bad)])
+
+
 # -- malformed numbers in file text ------------------------------------------
 
 def _assert_typed_error(argv, expected):
@@ -568,6 +585,13 @@ def test_leaf_index_out_of_range_is_domain_error(spec_file, halves_file, cmd, op
     _assert_domain_error(
         ["basis", cmd, "--spec", spec_file, halves_file, "--color", "0", option, value]
     )
+
+
+@pytest.mark.parametrize("color", ["99", "-1"])
+def test_contract_colour_out_of_range_is_domain_error(spec_file, halves_file, color):
+    assert _stderr_of(
+        ["basis", "contract", "--spec", spec_file, halves_file, "--color", color, "--family", "0,1"]
+    ) == (1, f"error: invalid colour {color}\n")
 
 
 def test_repeated_family_index_is_domain_error(spec_file, halves_file):

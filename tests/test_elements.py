@@ -522,13 +522,14 @@ def test_images_carry_trees_that_replay(specs):
             _assert_trees_replay(product.domain)
             _assert_trees_replay(product.range)
             mid = lub(h.range, g.domain)
-            image, to_image = _image(g, mid)
-            _assert_trees_replay(image)
+            trees, to_image = _image(g, mid)
             assert set(to_image) == mid.cellset()
             assert all(to_image[c] == g.image_of_leaf(c) for c in mid.cells)
             applied = apply_to_basis(g, mid)
             _assert_trees_replay(applied)
-            assert applied == image
+            # the map lists the images in the leaf order of the trees
+            assert applied.trees == trees
+            assert [applied.cells[i] for i in applied.leaf_order] == list(to_image.values())
             rewritten = expand_diagram(g, mid)
             _assert_trees_replay(rewritten.range)
             assert rewritten.domain == mid and equals(rewritten, g)
@@ -629,7 +630,7 @@ def test_leaf_order_follows_the_trees_of_every_constructor(specs):
                 finer = expand(g.domain, leaf, seed % spec.num_colors)
                 mid = lub(h.range, g.domain)
                 product = compose(g, h)
-                bases += [g.domain, g.range, finer, mid, _image(g, mid)[0], _image(g, finer)[0],
+                bases += [g.domain, g.range, finer, mid, apply_to_basis(g, mid), apply_to_basis(g, finer),
                           product.domain, product.range,
                           reduce(expand_diagram(g, finer)).range,
                           Basis.from_cells(spec, finer.cells),

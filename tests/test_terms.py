@@ -107,6 +107,13 @@ def test_contract_partial_family_in_2v(brin2v):
     assert len(merged) == 3
 
 
+@pytest.mark.parametrize("color", [99, -1])
+def test_contract_rejects_a_colour_out_of_range(v21, color):
+    b = halves(v21)
+    with pytest.raises(TermError, match=f"^invalid colour {color}$"):
+        contract(b, b.cells, color)
+
+
 def test_contract_rejects_non_family(v21):
     x = Basis.roots(v21)
     b = expand(x, x.cells[0], 0)
